@@ -42,6 +42,8 @@
 //!   (Figs. 8, 9, 12, 13).
 //! * [`suite::SuiteConfig`] — votes and quorum sizes, enforcing
 //!   `R + W > total` and `2W > total`.
+//! * [`exec`] — the elastic worker pool member-RPC waves, hedges and
+//!   per-member commits run on.
 //! * [`suite::quorum`] — random (the paper's §4 setup), sticky (§5's
 //!   moving-primary observation), fixed, and locality (Fig. 16) policies.
 //!
@@ -68,6 +70,7 @@
 pub mod bytes;
 pub mod channel;
 mod error;
+pub mod exec;
 mod gapmap;
 mod key;
 pub mod proptest_mini;

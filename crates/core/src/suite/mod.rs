@@ -21,6 +21,7 @@ pub use quorum::{
 };
 pub use set::DirSet;
 
+use crate::channel::Sender;
 use crate::error::{ConfigError, QuorumKind, RepError, SuiteError};
 use crate::gapmap::LookupReply;
 use crate::key::Key;
@@ -120,9 +121,9 @@ pub struct DeleteOutcome {
 }
 
 struct Member<C> {
-    /// Shared so hedge/straggler workers can outlive the wave that spawned
-    /// them: the adaptive executor returns at the vote threshold while
-    /// detached threads still own a clone.
+    /// Shared so pooled member calls own their client and can outlive the
+    /// wave that launched them: the adaptive executor returns at the vote
+    /// threshold while straggling jobs still hold a clone.
     client: Arc<C>,
     votes: u32,
 }
@@ -266,9 +267,12 @@ pub struct StaleVote {
 /// while stale produces one queued vote (carrying the latest observation),
 /// not one redundant bucket pull per read. Per-member wakers let a driver
 /// sleep until evidence for *its* member actually arrives.
+///
+/// Pushing is O(1) whatever the backlog: each member's votes sit in their
+/// own queue with a per-key index beside it.
 #[derive(Default)]
 pub struct StaleVoteQueue {
-    votes: crate::sync::Mutex<Vec<StaleVote>>,
+    votes: crate::sync::Mutex<QueuedVotes>,
     wakers: crate::sync::Mutex<Vec<Option<VoteWaker>>>,
     spill: crate::sync::Mutex<Option<VoteSpill>>,
 }
@@ -280,6 +284,64 @@ pub type VoteWaker = Box<dyn Fn() + Send + Sync>;
 /// Durability hook fired on every [`StaleVoteQueue::push`]; see
 /// [`StaleVoteQueue::set_spill`].
 pub type VoteSpill = Box<dyn Fn(&StaleVote) + Send + Sync>;
+
+/// The coalesced votes of a [`StaleVoteQueue`], per member.
+#[derive(Default)]
+struct QueuedVotes {
+    members: Vec<MemberVotes>,
+    /// Arrival number of the next vote with a new `(member, key)`; orders
+    /// [`StaleVoteQueue::drain_all`] across members.
+    next_seq: u64,
+    len: usize,
+}
+
+/// One member's queued votes, oldest first, and where each key's vote is.
+#[derive(Default)]
+struct MemberVotes {
+    votes: Vec<(u64, StaleVote)>,
+    at: std::collections::HashMap<Key, usize>,
+}
+
+impl QueuedVotes {
+    /// Queues `vote`, replacing any queued vote for the same
+    /// `(member, key)` in place.
+    fn coalesce(&mut self, vote: StaleVote) {
+        if self.members.len() <= vote.member {
+            self.members
+                .resize_with(vote.member + 1, MemberVotes::default);
+        }
+        let queue = &mut self.members[vote.member];
+        match queue.at.get(&vote.key) {
+            Some(&at) => queue.votes[at].1 = vote,
+            None => {
+                queue.at.insert(vote.key.clone(), queue.votes.len());
+                queue.votes.push((self.next_seq, vote));
+                self.next_seq += 1;
+                self.len += 1;
+            }
+        }
+    }
+
+    fn drain_member(&mut self, member: usize) -> Vec<StaleVote> {
+        let Some(queue) = self.members.get_mut(member) else {
+            return Vec::new();
+        };
+        queue.at.clear();
+        self.len -= queue.votes.len();
+        queue.votes.drain(..).map(|(_, vote)| vote).collect()
+    }
+
+    fn drain_all(&mut self) -> Vec<StaleVote> {
+        let mut all: Vec<(u64, StaleVote)> = Vec::with_capacity(self.len);
+        for queue in &mut self.members {
+            queue.at.clear();
+            all.append(&mut queue.votes);
+        }
+        self.len = 0;
+        all.sort_unstable_by_key(|&(seq, _)| seq);
+        all.into_iter().map(|(_, vote)| vote).collect()
+    }
+}
 
 impl StaleVoteQueue {
     /// An empty queue with no wakers.
@@ -302,16 +364,7 @@ impl StaleVoteQueue {
                 spill(&vote);
             }
         }
-        {
-            let mut votes = self.votes.lock();
-            match votes
-                .iter_mut()
-                .find(|v| v.member == vote.member && v.key == vote.key)
-            {
-                Some(existing) => *existing = vote,
-                None => votes.push(vote),
-            }
-        }
+        self.votes.lock().coalesce(vote);
         let wakers = self.wakers.lock();
         if let Some(Some(waker)) = wakers.get(member) {
             waker();
@@ -322,39 +375,22 @@ impl StaleVoteQueue {
     /// [`push`](Self::push) but fires neither the spill hook (it is already
     /// durable) nor the waker (recovery happens before drivers spawn).
     pub fn restore(&self, vote: StaleVote) {
-        let mut votes = self.votes.lock();
-        match votes
-            .iter_mut()
-            .find(|v| v.member == vote.member && v.key == vote.key)
-        {
-            Some(existing) => *existing = vote,
-            None => votes.push(vote),
-        }
+        self.votes.lock().coalesce(vote);
     }
 
     /// Drains every queued vote naming `member`, oldest observation first.
     pub fn drain_member(&self, member: usize) -> Vec<StaleVote> {
-        let mut votes = self.votes.lock();
-        let mut out = Vec::new();
-        votes.retain(|v| {
-            if v.member == member {
-                out.push(v.clone());
-                false
-            } else {
-                true
-            }
-        });
-        out
+        self.votes.lock().drain_member(member)
     }
 
     /// Drains the whole queue, oldest first.
     pub fn drain_all(&self) -> Vec<StaleVote> {
-        std::mem::take(&mut *self.votes.lock())
+        self.votes.lock().drain_all()
     }
 
     /// Number of queued (coalesced) votes.
     pub fn len(&self) -> usize {
-        self.votes.lock().len()
+        self.votes.lock().len
     }
 
     /// Whether the queue is empty.
@@ -447,7 +483,7 @@ pub struct DirSuite<C: RepClient> {
     /// ([`insert_many`](DirSuite::insert_many) chunking).
     bulk_chunk: usize,
     /// Whether member RPC waves are issued concurrently (scatter-gather
-    /// over scoped threads) or serialized. Concurrent is the default; the
+    /// over pooled workers) or serialized. Concurrent is the default; the
     /// sequential mode is kept as the counter/latency baseline.
     fanout: bool,
     /// The read ([`QuorumKind::Read`] = slot 0) and write (slot 1) session
@@ -481,7 +517,7 @@ pub struct DirSuite<C: RepClient> {
     /// Stale votes observed by quorum reads, drained by
     /// [`take_stale_votes`](DirSuite::take_stale_votes). Coalesced per
     /// `(member, key)`; unused when a shared sink is installed.
-    stale_votes: Vec<StaleVote>,
+    stale_votes: QueuedVotes,
     /// Shared sink stale votes are routed to instead of the local queue —
     /// the hand-off to background repair drivers
     /// ([`set_stale_vote_sink`](DirSuite::set_stale_vote_sink)).
@@ -543,7 +579,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
             hedge: false,
             hedge_delay: None,
             repair: true,
-            stale_votes: Vec::new(),
+            stale_votes: QueuedVotes::default(),
             stale_sink: None,
             repair_health: None,
             penalty_sample: FAILED_RPC_PENALTY,
@@ -617,11 +653,12 @@ impl<C: RepClient + 'static> DirSuite<C> {
     /// Enables or disables concurrent scatter-gather for member RPC waves.
     ///
     /// Enabled by default: each wave (quorum pings, quorum reads, quorum
-    /// writes, chain refills, copy/coalesce passes) is issued from scoped
-    /// threads and costs the slowest member's latency instead of the sum.
-    /// Disabling serializes the identical waves — same RPCs, same counters,
-    /// same answers — which is the baseline the `suite_latency` bench and
-    /// the counter-equivalence property test compare against.
+    /// writes, chain refills, copy/coalesce passes) is issued as pooled
+    /// jobs ([`crate::exec`]) and costs the slowest member's latency
+    /// instead of the sum. Disabling serializes the identical waves — same
+    /// RPCs, same counters, same answers — which is the baseline the
+    /// `suite_latency` bench and the counter-equivalence property test
+    /// compare against.
     pub fn set_fanout(&mut self, enabled: bool) {
         self.fanout = enabled;
     }
@@ -726,7 +763,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
     pub fn set_repair(&mut self, enabled: bool) {
         self.repair = enabled;
         if !enabled {
-            self.stale_votes.clear();
+            self.stale_votes = QueuedVotes::default();
         }
     }
 
@@ -741,7 +778,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
     /// masked the stale replies), so draining lazily is safe. Empty while a
     /// shared sink is installed — the votes went to the sink instead.
     pub fn take_stale_votes(&mut self) -> Vec<StaleVote> {
-        std::mem::take(&mut self.stale_votes)
+        self.stale_votes.drain_all()
     }
 
     /// Routes observed stale votes to a shared [`StaleVoteQueue`] instead of
@@ -950,8 +987,9 @@ impl<C: RepClient + 'static> DirSuite<C> {
         // order-independent, so merging in slot order is equivalent to
         // merging in arrival order.
         let mut votes: Vec<(usize, LookupReply)> = Vec::with_capacity(quorum.len());
+        let owned = key.clone();
         for (slot, reply) in self
-            .scatter(&quorum, |_, c| c.lookup(key))
+            .scatter(&quorum, move |_, c| c.lookup(&owned))
             .into_iter()
             .enumerate()
         {
@@ -984,7 +1022,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
     }
 
     /// The hedged read path: queries the collected quorum concurrently on
-    /// detached workers and, whenever the next reply straggles past the
+    /// pooled workers and, whenever the next reply straggles past the
     /// hedge delay, duplicates the lookup to a spare voting member outside
     /// the quorum. The answer is assembled from whichever replies land
     /// first until their votes cover R — sound by the intersection argument
@@ -1012,10 +1050,11 @@ impl<C: RepClient + 'static> DirSuite<C> {
         let mut spares =
             (0..self.members.len()).filter(|&i| !in_quorum[i] && self.members[i].votes > 0);
         let (tx, rx) = crate::channel::unbounded();
+        let penalty = Some(self.penalty_sample);
         for &i in quorum {
             self.obs.msgs[i].inc();
             let key = key.clone();
-            self.spawn_rpc_worker(i, tx.clone(), move |c| c.lookup(&key));
+            self.launch(i, i, penalty, &tx, move |c| c.lookup(&key));
         }
         let mut outstanding = quorum.len();
         let mut votes = 0u32;
@@ -1026,7 +1065,11 @@ impl<C: RepClient + 'static> DirSuite<C> {
         let mut hedges_won = 0u64;
         let mut last_err = RepError::Unavailable;
         while outstanding > 0 && votes < needed {
-            match rx.recv_timeout(delay) {
+            // A panicking member scores as a dead one.
+            let arrival = rx
+                .recv_timeout(delay)
+                .map(|(i, outcome)| (i, outcome.unwrap_or(Err(RepError::Unavailable))));
+            match arrival {
                 Ok((i, Ok(reply))) => {
                     outstanding -= 1;
                     votes += self.members[i].votes;
@@ -1056,7 +1099,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
                         self.obs.hedge_issued.inc();
                         hedged.push(i);
                         let key = key.clone();
-                        self.spawn_rpc_worker(i, tx.clone(), move |c| c.lookup(&key));
+                        self.launch(i, i, penalty, &tx, move |c| c.lookup(&key));
                         outstanding += 1;
                     }
                 }
@@ -1212,10 +1255,10 @@ impl<C: RepClient + 'static> DirSuite<C> {
                     .iter()
                     .map(|&i| BatchRequest::Lookup(entries[i].0.clone()))
                     .collect();
-                let env_ref = &env;
-                for wave in self.scatter(&read_q, |_, c| c.batch(env_ref)) {
+                let arity = env.len();
+                for wave in self.scatter(&read_q, move |_, c| c.batch(&env)) {
                     let parts = wave?;
-                    if parts.len() != env.len() {
+                    if parts.len() != arity {
                         return Err(protocol_violation("bulk lookup envelope arity"));
                     }
                     for (j, part) in parts.into_iter().enumerate() {
@@ -1281,8 +1324,9 @@ impl<C: RepClient + 'static> DirSuite<C> {
 
             if !writes.is_empty() {
                 let write_q = self.collect_quorum(QuorumKind::Write, None)?;
-                let writes_ref = &writes;
-                for wave in self.scatter(&write_q, |_, c| c.batch(writes_ref)) {
+                let writes: Arc<[BatchRequest]> = writes.into();
+                let envelope = Arc::clone(&writes);
+                for wave in self.scatter(&write_q, move |_, c| c.batch(&envelope)) {
                     let parts = wave?;
                     if parts.len() != writes.len() {
                         return Err(protocol_violation("bulk insert envelope arity"));
@@ -1299,7 +1343,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
                         .collect();
                     if !weak.is_empty() {
                         // Weak representatives are hints: ignore failures.
-                        let _ = self.scatter(&weak, |_, c| c.batch(writes_ref));
+                        let _ = self.scatter(&weak, move |_, c| c.batch(&writes));
                     }
                 }
             }
@@ -1446,13 +1490,10 @@ impl<C: RepClient + 'static> DirSuite<C> {
             if !refills.is_empty() {
                 rpc_calls += refills.len() as u32;
                 let targets: Vec<usize> = refills.iter().map(|&(qi, _)| quorum[qi]).collect();
-                let refills_ref = &refills;
-                let waves = self.scatter(&targets, |slot, c| {
-                    let from = &refills_ref[slot].1;
-                    match dir {
-                        Direction::Pred => c.predecessor_chain(from, batch),
-                        Direction::Succ => c.successor_chain(from, batch),
-                    }
+                let froms: Vec<Key> = refills.iter().map(|(_, from)| from.clone()).collect();
+                let waves = self.scatter(&targets, move |slot, c| match dir {
+                    Direction::Pred => c.predecessor_chain(&froms[slot], batch),
+                    Direction::Succ => c.successor_chain(&froms[slot], batch),
                 });
                 for (slot, wave) in waves.into_iter().enumerate() {
                     walk.integrate(refills[slot].0, wave?, &probe, &mut max_gap_version);
@@ -1539,9 +1580,9 @@ impl<C: RepClient + 'static> DirSuite<C> {
             }
         }
         let targets: Vec<usize> = probes.iter().map(|&(i, _)| i).collect();
-        let probes_ref = &probes;
-        let present = self.scatter(&targets, |slot, c| {
-            c.lookup(&probes_ref[slot].1.key).map(|r| r.is_present())
+        let probe_keys: Vec<Key> = probes.iter().map(|(_, nb)| nb.key.clone()).collect();
+        let present = self.scatter(&targets, move |slot, c| {
+            c.lookup(&probe_keys[slot]).map(|r| r.is_present())
         });
         let mut missing: Vec<(usize, &NeighborSearch)> = Vec::new();
         for (slot, reply) in present.into_iter().enumerate() {
@@ -1552,14 +1593,19 @@ impl<C: RepClient + 'static> DirSuite<C> {
         let copies_inserted = missing.len() as u32;
         if !missing.is_empty() {
             let targets: Vec<usize> = missing.iter().map(|&(i, _)| i).collect();
-            let missing_ref = &missing;
-            for outcome in self.scatter(&targets, |slot, c| {
-                let nb = missing_ref[slot].1;
-                let value = nb
-                    .value
-                    .clone()
-                    .expect("non-sentinel real neighbor carries a value");
-                c.insert(&nb.key, nb.version, &value)
+            let copies: Vec<(Key, Version, Value)> = missing
+                .iter()
+                .map(|(_, nb)| {
+                    let value = nb
+                        .value
+                        .clone()
+                        .expect("non-sentinel real neighbor carries a value");
+                    (nb.key.clone(), nb.version, value)
+                })
+                .collect();
+            for outcome in self.scatter(&targets, move |slot, c| {
+                let (key, version, value) = &copies[slot];
+                c.insert(key, *version, value)
             }) {
                 outcome?;
             }
@@ -1569,8 +1615,9 @@ impl<C: RepClient + 'static> DirSuite<C> {
         let gap_version = ver.next();
         let mut entries_in_range = Vec::with_capacity(write_quorum.len());
         let mut ghosts_deleted = 0u32;
-        let outcomes = self.scatter(&write_quorum, |_, c| {
-            c.coalesce(&pred.key, &succ.key, gap_version)
+        let (low, high) = (pred.key.clone(), succ.key.clone());
+        let outcomes = self.scatter(&write_quorum, move |_, c| {
+            c.coalesce(&low, &high, gap_version)
         });
         for (slot, outcome) in outcomes.into_iter().enumerate() {
             let out = outcome?;
@@ -1667,9 +1714,9 @@ impl<C: RepClient + 'static> DirSuite<C> {
             let refills = walk.refills();
             if !refills.is_empty() {
                 let targets: Vec<usize> = refills.iter().map(|&(qi, _)| quorum[qi]).collect();
-                let refills_ref = &refills;
-                let waves = self.scatter(&targets, |slot, c| {
-                    c.successor_chain(&refills_ref[slot].1, batch)
+                let froms: Vec<Key> = refills.iter().map(|(_, from)| from.clone()).collect();
+                let waves = self.scatter(&targets, move |slot, c| {
+                    c.successor_chain(&froms[slot], batch)
                 });
                 for (slot, wave) in waves.into_iter().enumerate() {
                     walk.integrate(refills[slot].0, wave?, &probe, &mut max_gap_version);
@@ -1694,8 +1741,8 @@ impl<C: RepClient + 'static> DirSuite<C> {
                     reqs
                 })
                 .collect();
-            let envelopes_ref = &envelopes;
-            let waves = self.scatter(&quorum, |slot, c| c.batch(&envelopes_ref[slot]));
+            let prefetched: Vec<bool> = envelopes.iter().map(|env| env.len() > 1).collect();
+            let waves = self.scatter(&quorum, move |slot, c| c.batch(&envelopes[slot]));
             // Every member's lookup participates in the merge — ghost
             // detection needs the full quorum's votes, exactly as
             // `DirSuiteLookup` merges them.
@@ -1711,7 +1758,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
                     }
                     _ => return Err(protocol_violation("batch envelope missing lookup reply")),
                 }
-                if envelopes[qi].len() > 1 {
+                if prefetched[qi] {
                     match parts.next() {
                         Some(BatchReply::Chain(chain)) => {
                             walk.integrate(qi, chain, &probe, &mut max_gap_version);
@@ -1745,7 +1792,10 @@ impl<C: RepClient + 'static> DirSuite<C> {
     ) -> Result<WriteOutcome, SuiteError> {
         let _span = self.obs.registry.span("suite.write");
         let quorum = self.collect_quorum(QuorumKind::Write, Some(key))?;
-        for outcome in self.scatter(&quorum, |_, c| c.insert(key, version, value)) {
+        let (owned_key, owned_value) = (key.clone(), value.clone());
+        for outcome in self.scatter(&quorum, move |_, c| {
+            c.insert(&owned_key, version, &owned_value)
+        }) {
             outcome?;
         }
         if self.write_through_weak {
@@ -1754,7 +1804,8 @@ impl<C: RepClient + 'static> DirSuite<C> {
                 .collect();
             if !weak.is_empty() {
                 // Weak representatives are hints: ignore failures.
-                let _ = self.scatter(&weak, |_, c| c.insert(key, version, value));
+                let (key, value) = (key.clone(), value.clone());
+                let _ = self.scatter(&weak, move |_, c| c.insert(&key, version, &value));
             }
         }
         Ok(WriteOutcome {
@@ -1887,21 +1938,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
             for &i in &wave {
                 self.obs.pings[i].inc();
             }
-            let members = &self.members;
-            let obs = &self.obs;
-            let wave_ref = &wave;
-            let arrivals = fan_out_arrival(members, &wave, self.fanout, |slot, c| {
-                let pong = obs.registry.time(
-                    |d| {
-                        obs.reply[wave_ref[slot]].record(d);
-                        obs.reply_hist.record(d);
-                    },
-                    || c.ping(),
-                );
-                obs.avail[wave_ref[slot]].record(pong.is_ok());
-                pong
-            });
-            for (slot, pong) in arrivals {
+            for (slot, pong) in self.fan_out_arrival(&wave, |_, c| c.ping()) {
                 if votes >= needed {
                     // Late votes beyond the threshold are discarded, exactly
                     // as the sequential walk would not have pinged past it
@@ -1952,7 +1989,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
     /// minimal prefix *extended* until the expected (availability-weighted)
     /// vote yield covers the deficit, bounded by the over-provision cap;
     /// the concurrent executor counts arrivals as they land and returns at
-    /// the vote threshold, leaving stragglers to detached worker threads.
+    /// the vote threshold, leaving stragglers to their pooled workers.
     fn collect_votes_adaptive(
         &mut self,
         kind: QuorumKind,
@@ -2031,7 +2068,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
                 // beyond the threshold are discarded exactly as the
                 // concurrent executor ignores stragglers.
                 for &i in &wave {
-                    let pong = self.timed_ping(i);
+                    let pong = self.timed_call(i, |c| c.ping());
                     if votes >= needed {
                         continue;
                     }
@@ -2048,18 +2085,19 @@ impl<C: RepClient + 'static> DirSuite<C> {
         Ok(chosen)
     }
 
-    /// One timed, availability-recorded ping, inline on this thread.
-    fn timed_ping(&self, i: usize) -> RepResult<()> {
+    /// One timed, availability-recorded call to member `i`, inline on this
+    /// thread.
+    fn timed_call<T>(&self, i: usize, call: impl FnOnce(&C) -> RepResult<T>) -> RepResult<T> {
         let obs = &self.obs;
-        let pong = obs.registry.time(
+        let result = obs.registry.time(
             |d| {
                 obs.reply[i].record(d);
                 obs.reply_hist.record(d);
             },
-            || self.members[i].client.ping(),
+            || call(self.members[i].client.as_ref()),
         );
-        obs.avail[i].record(pong.is_ok());
-        pong
+        obs.avail[i].record(result.is_ok());
+        result
     }
 
     /// Compares each member's lookup vote against the merged winner and
@@ -2087,67 +2125,125 @@ impl<C: RepClient + 'static> DirSuite<C> {
                     // Coalesce per (member, key), keeping the latest
                     // observation: a key that is read repeatedly while
                     // stale must cost one targeted pull, not one per read.
-                    None => match self
-                        .stale_votes
-                        .iter_mut()
-                        .find(|v| v.member == *member && v.key == *key)
-                    {
-                        Some(existing) => *existing = vote,
-                        None => self.stale_votes.push(vote),
-                    },
+                    None => self.stale_votes.coalesce(vote),
                 }
             }
         }
     }
 
-    /// Spawns a detached worker that runs `call` against member `i` and
-    /// reports `(i, result)` on `tx`. Unlike the scoped [`fan_out`]
-    /// threads, the worker owns clones of the client and the obs handles,
-    /// so it keeps recording (EWMA, reply histogram, availability, failure
-    /// penalty) even after the coordinator stopped listening at the vote
-    /// threshold; its send simply fails once the receiver is gone. A
-    /// panicking client scores as [`RepError::Unavailable`] — out here it
-    /// is indistinguishable from a dead one — rather than poisoning the
-    /// coordinator.
-    fn spawn_rpc_worker<T, F>(
+    /// Clones of member `i`'s obs handles, for a concurrent call to it.
+    fn call_obs(&self, i: usize, penalty: Option<Duration>) -> CallObs {
+        CallObs {
+            registry: self.obs.registry.clone(),
+            ewma: self.obs.reply[i].clone(),
+            hist: self.obs.reply_hist.clone(),
+            avail: self.obs.avail[i].clone(),
+            penalty,
+        }
+    }
+
+    /// Runs `call` against member `i` as a pooled job ([`crate::exec`]) and
+    /// reports `(tag, outcome)` on `tx`. The job owns clones of the client
+    /// and the member's obs handles, so it keeps recording even after the
+    /// coordinator stopped listening at the vote threshold; its send then
+    /// simply fails. With `penalty` set the job also records the failed-RPC
+    /// penalty itself — for hedges and adaptive pings, whose coordinator
+    /// may be gone by the time a straggler fails.
+    fn launch<T, F>(
         &self,
+        tag: usize,
         i: usize,
-        tx: crate::channel::Sender<(usize, RepResult<T>)>,
+        penalty: Option<Duration>,
+        tx: &Sender<(usize, Outcome<T>)>,
         call: F,
     ) where
         T: Send + 'static,
         F: FnOnce(&C) -> RepResult<T> + Send + 'static,
     {
         let client = Arc::clone(&self.members[i].client);
-        let registry = self.obs.registry.clone();
-        let ewma = self.obs.reply[i].clone();
-        let hist = self.obs.reply_hist.clone();
-        let avail = self.obs.avail[i].clone();
-        let penalty = self.penalty_sample;
-        std::thread::Builder::new()
-            .name(format!("repdir-hedge-{i}"))
-            .spawn(move || {
-                let result = registry
-                    .time(
-                        |d| {
-                            ewma.record(d);
-                            hist.record(d);
-                        },
-                        || {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                call(client.as_ref())
-                            }))
-                        },
-                    )
-                    .unwrap_or(Err(RepError::Unavailable));
-                let ok = result.is_ok();
-                avail.record(ok);
-                if !ok {
-                    ewma.record(penalty);
-                }
-                let _ = tx.send((i, result));
-            })
-            .expect("spawn rpc worker");
+        let obs = self.call_obs(i, penalty);
+        let tx = tx.clone();
+        crate::exec::spawn(move || {
+            let _ = tx.send((tag, obs.run(client.as_ref(), call)));
+        });
+    }
+
+    /// Runs `f(slot, client)` against every target concurrently and waits
+    /// for all of them, returning `(slot, outcome)` in arrival order. All
+    /// calls but the last are pooled jobs; the coordinator makes the last
+    /// one itself rather than sit idle while the others run.
+    fn wave<T, F>(&self, targets: &[usize], f: F) -> Vec<(usize, Outcome<T>)>
+    where
+        T: Send + 'static,
+        F: Fn(usize, &C) -> RepResult<T> + Send + Sync + 'static,
+    {
+        let f = Arc::new(f);
+        let (tx, rx) = crate::channel::unbounded();
+        let (&own, pooled) = targets.split_last().expect("a wave has targets");
+        for (slot, &i) in pooled.iter().enumerate() {
+            let f = Arc::clone(&f);
+            self.launch(slot, i, None, &tx, move |c| f(slot, c));
+        }
+        drop(tx);
+        let own_slot = pooled.len();
+        let own_outcome = self
+            .call_obs(own, None)
+            .run(self.members[own].client.as_ref(), |c| f(own_slot, c));
+        // Replies that landed while the coordinator made its own call
+        // arrived before it.
+        let mut arrivals = rx.drain();
+        arrivals.push((own_slot, own_outcome));
+        // Every job sends exactly once, panics included.
+        while arrivals.len() < targets.len() {
+            arrivals.push(rx.recv().expect("a pooled member call reports"));
+        }
+        arrivals
+    }
+
+    /// Scatter-gather executor: runs `f(slot, client)` for every target
+    /// member, timed and availability-recorded, and yields `(slot, result)`
+    /// pairs in *arrival* order, so a caller collecting quorum votes can
+    /// stop caring about stragglers the moment the vote threshold is met.
+    ///
+    /// With fan-out enabled and more than one target, the calls run
+    /// concurrently ([`wave`](Self::wave)), so the wave costs the slowest
+    /// member's latency; once every call has reported, the first panic to
+    /// arrive is re-raised here. Otherwise the calls run inline in slot
+    /// order (arrival order is slot order), which is the sequential
+    /// baseline with identical semantics.
+    fn fan_out_arrival<T, F>(&self, targets: &[usize], f: F) -> Vec<(usize, RepResult<T>)>
+    where
+        T: Send + 'static,
+        F: Fn(usize, &C) -> RepResult<T> + Send + Sync + 'static,
+    {
+        if !self.fanout || targets.len() <= 1 {
+            return targets
+                .iter()
+                .enumerate()
+                .map(|(slot, &i)| (slot, self.timed_call(i, |c| f(slot, c))))
+                .collect();
+        }
+        self.wave(targets, f)
+            .into_iter()
+            .map(|(slot, outcome)| (slot, reraise(outcome)))
+            .collect()
+    }
+
+    /// Like [`fan_out_arrival`](Self::fan_out_arrival), but returns the
+    /// results in target (slot) order.
+    fn fan_out<T, F>(&self, targets: &[usize], f: F) -> Vec<RepResult<T>>
+    where
+        T: Send + 'static,
+        F: Fn(usize, &C) -> RepResult<T> + Send + Sync + 'static,
+    {
+        let mut results: Vec<Option<RepResult<T>>> = (0..targets.len()).map(|_| None).collect();
+        for (slot, result) in self.fan_out_arrival(targets, f) {
+            results[slot] = Some(result);
+        }
+        results
+            .into_iter()
+            .map(|result| result.expect("every slot reported"))
+            .collect()
     }
 
     /// Runs one provisioned wave concurrently: counts arrivals until the
@@ -2169,13 +2265,46 @@ impl<C: RepClient + 'static> DirSuite<C> {
     ) {
         use crate::channel::RecvTimeoutError;
         let (tx, rx) = crate::channel::unbounded();
-        for &i in wave {
-            self.spawn_rpc_worker(i, tx.clone(), |c| c.ping());
+        let penalty = Some(self.penalty_sample);
+        // The coordinator makes the last ping itself when it could not
+        // return before that ping's reply anyway: no hedge timer to watch,
+        // and the other pings' votes cannot cover the deficit without it.
+        let (&last, others) = wave.split_last().expect("a wave has members");
+        let others_votes: u32 = others.iter().map(|&i| self.members[i].votes).sum();
+        let own = hedge_delay.is_none() && others_votes < needed - *votes;
+        for &i in if own { others } else { wave } {
+            self.launch(i, i, penalty, &tx, |c| c.ping());
+        }
+        if own {
+            let pong = self
+                .call_obs(last, penalty)
+                .run(self.members[last].client.as_ref(), |c| c.ping());
+            let _ = tx.send((last, pong));
         }
         let mut outstanding = wave.len();
         let mut hedged: Vec<usize> = Vec::new();
         let mut hedges_won = 0u64;
+        // Replies received but not yet counted, most preferred last.
+        let mut ready: Vec<(usize, Outcome<()>)> = Vec::new();
         while outstanding > 0 && *votes < needed {
+            if let Some((i, pong)) = ready.pop() {
+                outstanding -= 1;
+                // A panicking member scores as a dead one.
+                if matches!(pong, Ok(Ok(()))) {
+                    *votes += self.members[i].votes;
+                    chosen.push(i);
+                    if hedged.contains(&i) {
+                        self.obs.hedge_won.inc();
+                        hedges_won += 1;
+                    }
+                } else {
+                    // Workers record availability and the EWMA penalty
+                    // themselves; the algorithmic miss count stays with the
+                    // coordinator, mirroring the baseline.
+                    self.obs.sticky_miss.inc();
+                }
+                continue;
+            }
             let arrival = match hedge_delay {
                 Some(delay) => match rx.recv_timeout(delay) {
                     Ok(pair) => Some(pair),
@@ -2192,7 +2321,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
                             self.obs.pings[i].inc();
                             self.obs.hedge_issued.inc();
                             hedged.push(i);
-                            self.spawn_rpc_worker(i, tx.clone(), |c| c.ping());
+                            self.launch(i, i, penalty, &tx, |c| c.ping());
                             outstanding += 1;
                             break;
                         }
@@ -2204,21 +2333,14 @@ impl<C: RepClient + 'static> DirSuite<C> {
                 },
                 None => rx.recv().ok(),
             };
-            let Some((i, pong)) = arrival else { break };
-            outstanding -= 1;
-            if pong.is_ok() {
-                *votes += self.members[i].votes;
-                chosen.push(i);
-                if hedged.contains(&i) {
-                    self.obs.hedge_won.inc();
-                    hedges_won += 1;
-                }
-            } else {
-                // Workers record availability and the EWMA penalty
-                // themselves; the algorithmic miss count stays with the
-                // coordinator, mirroring the baseline.
-                self.obs.sticky_miss.inc();
-            }
+            let Some(first) = arrival else { break };
+            // Replies that landed together count in preference order, so
+            // the policy's favorite is not outrun by the order in which
+            // pooled workers happened to wake.
+            ready.push(first);
+            ready.extend(rx.drain());
+            let rank = |i: usize| order.iter().position(|&m| m == i);
+            ready.sort_by_key(|&(i, _)| std::cmp::Reverse(rank(i)));
         }
         self.obs.hedge_wasted.add(hedged.len() as u64 - hedges_won);
     }
@@ -2231,26 +2353,15 @@ impl<C: RepClient + 'static> DirSuite<C> {
     /// a known set of RPCs regardless of reply order. Each member's call is
     /// timed into its reply-time EWMA (skipped when the registry is
     /// disarmed).
-    fn scatter<T: Send>(
-        &mut self,
-        targets: &[usize],
-        f: impl Fn(usize, &C) -> RepResult<T> + Sync,
-    ) -> Vec<RepResult<T>> {
+    fn scatter<T, F>(&mut self, targets: &[usize], f: F) -> Vec<RepResult<T>>
+    where
+        T: Send + 'static,
+        F: Fn(usize, &C) -> RepResult<T> + Send + Sync + 'static,
+    {
         for &i in targets {
             self.obs.msgs[i].inc();
         }
-        let obs = &self.obs;
-        let results = fan_out(&self.members, targets, self.fanout, |slot, c| {
-            let result = obs.registry.time(
-                |d| {
-                    obs.reply[targets[slot]].record(d);
-                    obs.reply_hist.record(d);
-                },
-                || f(slot, c),
-            );
-            obs.avail[targets[slot]].record(result.is_ok());
-            result
-        });
+        let results = self.fan_out(targets, f);
         for (slot, result) in results.iter().enumerate() {
             if result.is_err() {
                 self.obs.penalize(targets[slot], self.penalty_sample);
@@ -2350,88 +2461,45 @@ fn pick_reply(a: LookupReply, b: LookupReply) -> LookupReply {
     }
 }
 
-/// Scatter-gather executor: runs `f(slot, client)` for every target member
-/// and returns the results in target (slot) order.
-///
-/// With `concurrent` set and more than one target, each call runs on its own
-/// scoped thread — `RepClient: Send + Sync` is exactly what makes lending
-/// `&C` across threads sound — so the wave costs the slowest member's
-/// latency. Otherwise the calls run inline in slot order, which is the
-/// sequential baseline with identical semantics.
-fn fan_out<C, T, F>(
-    members: &[Member<C>],
-    targets: &[usize],
-    concurrent: bool,
-    f: F,
-) -> Vec<RepResult<T>>
-where
-    C: RepClient,
-    T: Send,
-    F: Fn(usize, &C) -> RepResult<T> + Sync,
-{
-    if !concurrent || targets.len() <= 1 {
-        return targets
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| f(slot, members[i].client.as_ref()))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = targets
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| {
-                let client = members[i].client.as_ref();
-                scope.spawn(move || f(slot, client))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fan-out worker panicked"))
-            .collect()
-    })
+/// A concurrent member call's outcome: the call's result, or the payload of
+/// the panic it raised.
+type Outcome<T> = std::thread::Result<RepResult<T>>;
+
+/// One member's obs handles, owned so a call to the member can record into
+/// them from any thread.
+struct CallObs {
+    registry: Registry,
+    ewma: Ewma,
+    hist: Histogram,
+    avail: Avail,
+    /// Failed-RPC penalty the call records itself, if any.
+    penalty: Option<Duration>,
 }
 
-/// Like [`fan_out`], but yields `(slot, result)` pairs in *arrival* order,
-/// so a caller collecting quorum votes can stop caring about stragglers the
-/// moment the vote threshold is met. In sequential mode arrival order is
-/// slot order.
-fn fan_out_arrival<C, T, F>(
-    members: &[Member<C>],
-    targets: &[usize],
-    concurrent: bool,
-    f: F,
-) -> Vec<(usize, RepResult<T>)>
-where
-    C: RepClient,
-    T: Send,
-    F: Fn(usize, &C) -> RepResult<T> + Sync,
-{
-    if !concurrent || targets.len() <= 1 {
-        return targets
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| (slot, f(slot, members[i].client.as_ref())))
-            .collect();
+impl CallObs {
+    /// Runs `call`, timing it into the reply EWMA and histogram and
+    /// scoring availability. A panic is caught, scored as a miss and
+    /// returned as the outcome.
+    fn run<C, T>(&self, client: &C, call: impl FnOnce(&C) -> RepResult<T>) -> Outcome<T> {
+        let outcome = self.registry.time(
+            |d| {
+                self.ewma.record(d);
+                self.hist.record(d);
+            },
+            || std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(client))),
+        );
+        let ok = matches!(outcome, Ok(Ok(_)));
+        self.avail.record(ok);
+        if let (false, Some(penalty)) = (ok, self.penalty) {
+            self.ewma.record(penalty);
+        }
+        outcome
     }
-    std::thread::scope(|scope| {
-        let (tx, rx) = crate::channel::unbounded();
-        let f = &f;
-        for (slot, &i) in targets.iter().enumerate() {
-            let client = members[i].client.as_ref();
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let _ = tx.send((slot, f(slot, client)));
-            });
-        }
-        drop(tx);
-        let mut out = Vec::with_capacity(targets.len());
-        while let Ok(pair) = rx.recv() {
-            out.push(pair);
-        }
-        out
-    })
+}
+
+/// Unwraps a pooled call's outcome, re-raising its panic on this thread.
+fn reraise<T>(outcome: Outcome<T>) -> RepResult<T> {
+    outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Consumes buffered chain elements the neighbor walk has already passed
@@ -3875,30 +3943,56 @@ mod tests {
         assert!(snap.counter("suite.bulk.resumed") >= 1);
     }
 
-    /// Forwards to a [`LocalRep`] but panics on the first data RPC after
-    /// being armed — the fault-injection client for the session-scope
-    /// unwind-safety regression test.
+    /// Forwards to a [`LocalRep`] but panics on the first lookup (or ping)
+    /// after being armed — the fault-injection client for the unwind-safety
+    /// and pooled-panic tests.
     struct PanicsOnLookup {
         inner: LocalRep,
         armed: std::sync::atomic::AtomicBool,
+        ping_armed: std::sync::atomic::AtomicBool,
     }
 
     impl PanicsOnLookup {
+        fn new(i: u32) -> Self {
+            PanicsOnLookup {
+                inner: LocalRep::new(RepId(i)),
+                armed: std::sync::atomic::AtomicBool::new(false),
+                ping_armed: std::sync::atomic::AtomicBool::new(false),
+            }
+        }
         fn arm(&self) {
             self.armed.store(true, std::sync::atomic::Ordering::SeqCst);
         }
+        fn arm_ping(&self) {
+            self.ping_armed
+                .store(true, std::sync::atomic::Ordering::SeqCst);
+        }
     }
+
+    fn panicky_322() -> DirSuite<PanicsOnLookup> {
+        let clients = (0..3).map(PanicsOnLookup::new).collect();
+        let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
+        DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap()
+    }
+
+    const LOOKUP_PANIC: &str = "injected fault: representative panicked mid-lookup";
 
     impl RepClient for PanicsOnLookup {
         fn id(&self) -> RepId {
             self.inner.id()
         }
         fn ping(&self) -> RepResult<()> {
+            if self
+                .ping_armed
+                .swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
+                panic!("injected fault: representative panicked mid-ping");
+            }
             self.inner.ping()
         }
         fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
             if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                panic!("injected fault: representative panicked mid-lookup");
+                panic!("{LOOKUP_PANIC}");
             }
             self.inner.lookup(key)
         }
@@ -3932,16 +4026,9 @@ mod tests {
         // session_depth when the body unwound, pinning a stale quorum
         // session for the suite's lifetime. The RAII scope guard must
         // restore depth and clear sessions on panic.
-        let clients: Vec<PanicsOnLookup> = (0..3)
-            .map(|i| PanicsOnLookup {
-                inner: LocalRep::new(RepId(i)),
-                armed: std::sync::atomic::AtomicBool::new(false),
-            })
-            .collect();
-        let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
-        let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
+        let mut s = panicky_322();
         // Inline scatter, so the injected panic unwinds through the suite's
-        // own frames rather than a scoped worker thread.
+        // own frames rather than a pooled worker.
         s.set_fanout(false);
         s.insert(&k("a"), &val("A")).unwrap();
         s.member(0).arm();
@@ -3962,6 +4049,60 @@ mod tests {
         // And the suite still answers correctly afterwards.
         let listed = s.scan().unwrap();
         assert_eq!(listed.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_pooled_scatter_call_reaches_the_coordinator() {
+        // A fresh suite's read quorum is [0, 1]: member 0's lookup is a
+        // pooled job, member 1's runs on the coordinator. Either panic
+        // surfaces.
+        for member in [0, 1] {
+            let mut s = panicky_322();
+            assert!(s.fanout_enabled());
+            s.insert(&k("a"), &val("A")).unwrap();
+            s.member(member).arm();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = s.lookup(&k("a"));
+            }))
+            .expect_err("the wave's panic must surface in the coordinator");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(LOOKUP_PANIC)
+            );
+            // The pool survived the panic: later waves run normally.
+            assert!(s.lookup(&k("a")).unwrap().present);
+            assert_eq!(s.scan().unwrap().len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_panicking_ping_or_hedged_call_scores_as_unavailable() {
+        // A fresh suite's adaptive ping wave is [0, 1]: a panicking ping is
+        // a miss, whether it ran as a pooled job (member 0) or on the
+        // coordinator (member 1), and member 2 completes the quorum.
+        for (member, quorum) in [(0, [1, 2]), (1, [0, 2])] {
+            let mut s = panicky_322();
+            s.insert(&k("a"), &val("A")).unwrap();
+            s.member(member).arm_ping();
+            let out = s.lookup(&k("a")).unwrap();
+            assert!(out.present);
+            assert_eq!(out.quorum, quorum.map(RepId).to_vec());
+            assert_eq!(s.obs().counter("suite.quorum.sticky_miss").get(), 1);
+            assert!(s.member_avails()[member].rate().unwrap() < 1.0);
+        }
+        // A fresh suite's hedged read over [0, 1]: member 0's panicking
+        // lookup is an unavailable member, and with no spare issued in
+        // time R cannot be covered.
+        let mut s = panicky_322();
+        s.insert(&k("a"), &val("A")).unwrap();
+        s.set_hedge(true);
+        s.set_hedge_delay(Some(Duration::from_secs(30)));
+        s.member(0).arm();
+        assert_eq!(
+            s.lookup(&k("a")),
+            Err(SuiteError::Rep(RepError::Unavailable))
+        );
+        assert!(s.lookup(&k("a")).unwrap().present);
     }
 
     #[test]
@@ -4169,6 +4310,47 @@ mod tests {
         assert_eq!(m0[1].key, k("b"));
         assert_eq!(queue.drain_all(), vec![vote(1, "a", 1)]);
         assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn stale_vote_queue_coalesces_a_large_backlog_in_arrival_order() {
+        // 50k distinct (member, key) targets spread over three members,
+        // then a re-observation of every third one: the backlog stays at
+        // 50k, each target keeps its first-arrival position, and carries
+        // its latest observation.
+        const N: u64 = 50_000;
+        let queue = StaleVoteQueue::new();
+        let vote = |i: u64, latest: u64| StaleVote {
+            member: (i % 3) as usize,
+            key: Key::User(crate::key::UserKey::from_u64(i)),
+            seen: Version::ZERO,
+            latest: Version::new(latest),
+        };
+        for i in 0..N {
+            queue.push(vote(i, 1));
+        }
+        for i in (0..N).step_by(3) {
+            queue.restore(vote(i, 2));
+        }
+        assert_eq!(queue.len(), N as usize);
+        let latest = |i: u64| if i.is_multiple_of(3) { 2 } else { 1 };
+        let m1 = queue.drain_member(1);
+        let expect_m1: Vec<StaleVote> = (0..N)
+            .filter(|i| i % 3 == 1)
+            .map(|i| vote(i, latest(i)))
+            .collect();
+        assert_eq!(m1, expect_m1);
+        assert_eq!(queue.len(), (N - expect_m1.len() as u64) as usize);
+        // Re-queueing a drained target appends it behind the rest.
+        queue.push(vote(1, 3));
+        let mut expect_rest: Vec<StaleVote> = (0..N)
+            .filter(|i| i % 3 != 1)
+            .map(|i| vote(i, latest(i)))
+            .collect();
+        expect_rest.push(vote(1, 3));
+        assert_eq!(queue.drain_all(), expect_rest);
+        assert!(queue.is_empty());
+        assert!(queue.drain_member(7).is_empty());
     }
 
     #[test]

@@ -475,15 +475,11 @@ impl DirTxn<'_> {
         self.finished = true;
         let id = self.id;
         let _span = repdir_obs::global().span("txn.commit");
-        std::thread::scope(|scope| {
-            for rep in &self.dir.reps {
-                // A representative that failed mid-transaction cannot
-                // commit; it never saw the transaction's writes (the suite
-                // routed around it), so skipping is sound.
-                scope.spawn(move || {
-                    let _ = rep.commit(id);
-                });
-            }
+        // A representative that failed mid-transaction cannot commit; it
+        // never saw the transaction's writes (the suite routed around it),
+        // so skipping is sound.
+        at_every_rep(&self.dir.reps, move |rep| {
+            let _ = rep.commit(id);
         });
         let _ = self.dir.txns.commit(id);
     }
@@ -497,15 +493,45 @@ impl DirTxn<'_> {
     fn rollback(&self) {
         let id = self.id;
         let _span = repdir_obs::global().span("txn.abort");
-        std::thread::scope(|scope| {
-            for rep in &self.dir.reps {
-                scope.spawn(move || {
-                    rep.abort(id);
-                });
-            }
-        });
+        at_every_rep(&self.dir.reps, move |rep| rep.abort(id));
         if self.dir.txns.is_active(id) {
             let _ = self.dir.txns.abort(id);
+        }
+    }
+}
+
+/// Runs `op` at every representative concurrently and returns once all of
+/// them finished: the last representative on this thread, the others as
+/// pooled jobs ([`repdir_core::exec`]). A panic in `op` is re-raised here
+/// after every representative reported.
+fn at_every_rep(
+    reps: &[Arc<TransactionalRep>],
+    op: impl Fn(&TransactionalRep) + Send + Sync + 'static,
+) {
+    let Some((own, pooled)) = reps.split_last() else {
+        return;
+    };
+    let op = Arc::new(op);
+    let (tx, rx) = repdir_core::channel::unbounded();
+    for rep in pooled {
+        let (rep, op, tx) = (Arc::clone(rep), Arc::clone(&op), tx.clone());
+        repdir_core::exec::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&rep)));
+            let _ = tx.send(outcome);
+        });
+    }
+    drop(tx);
+    let mut outcomes = vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+        || op(own),
+    ))];
+    outcomes.extend(
+        pooled
+            .iter()
+            .map(|_| rx.recv().expect("a pooled member job reports")),
+    );
+    for outcome in outcomes {
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
         }
     }
 }
@@ -783,10 +809,10 @@ mod tests {
 
     #[test]
     fn session_clients_are_shareable_across_threads() {
-        // The fan-out executor lends &SessionClient to scoped threads;
-        // clients must be Send + Sync. The suite itself only needs Send
-        // (its quorum policy is Send-only): the coordinator owns it, and
-        // only member references cross threads.
+        // The fan-out executor shares each SessionClient (behind an Arc)
+        // with pooled workers; clients must be Send + Sync. The suite
+        // itself only needs Send (its quorum policy is Send-only): the
+        // coordinator owns it, and only member clients cross threads.
         fn assert_send_sync<T: Send + Sync>() {}
         fn assert_send<T: Send>() {}
         assert_send_sync::<SessionClient>();

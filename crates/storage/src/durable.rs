@@ -17,11 +17,12 @@ use crate::wal::{replay, Wal, WalError, WalRecord};
 /// A representative's state with full transactional durability:
 ///
 /// * mutations apply to the in-memory [`GapMap`] and append redo records to
-///   the WAL;
+///   the WAL, the first one of a transaction preceded by its begin record;
 /// * [`commit`](DurableState::commit) appends a commit record and syncs —
 ///   the durability point;
 /// * [`abort`](DurableState::abort) rolls the memory state back via the
 ///   undo log and appends an abort record;
+/// * a read-only transaction writes nothing to the WAL at all;
 /// * [`recover`](DurableState::recover) rebuilds the committed state from
 ///   the durable log after a crash, discarding in-flight transactions.
 ///
@@ -139,10 +140,22 @@ impl DurableState {
         self.undo.len()
     }
 
-    /// Registers a transaction and logs its begin record.
+    /// Registers a transaction. Its begin record is logged lazily, with
+    /// its first mutation, so a read-only transaction never touches the
+    /// WAL.
     pub fn begin(&mut self, txn: TxnId) {
         self.undo.entry(txn).or_default();
-        self.wal.append(&WalRecord::Begin { txn: txn.0 });
+    }
+
+    /// The undo log of a registered transaction, logging its begin record
+    /// if this is its first mutation (every mutation pushes one undo
+    /// record, so an empty log means nothing was logged yet).
+    fn undo_log(&mut self, txn: TxnId) -> &mut Vec<UndoRecord> {
+        let undo = self.undo.get_mut(&txn).expect("registered transaction");
+        if undo.is_empty() {
+            self.wal.append(&WalRecord::Begin { txn: txn.0 });
+        }
+        undo
     }
 
     /// `DirRepLookup` against current state (reads need no redo records).
@@ -185,10 +198,7 @@ impl DurableState {
             return Err(RepError::TransactionAborted);
         }
         let outcome = self.state.insert(key, version, value.clone())?;
-        self.undo
-            .get_mut(&txn)
-            .expect("checked above")
-            .push(undo_for_insert(key, &outcome));
+        self.undo_log(txn).push(undo_for_insert(key, &outcome));
         self.wal.append(&WalRecord::Insert {
             txn: txn.0,
             key: key.clone(),
@@ -215,10 +225,7 @@ impl DurableState {
             return Err(RepError::TransactionAborted);
         }
         let outcome = self.state.coalesce(low, high, version)?;
-        self.undo
-            .get_mut(&txn)
-            .expect("checked above")
-            .push(undo_for_coalesce(low, &outcome));
+        self.undo_log(txn).push(undo_for_coalesce(low, &outcome));
         self.wal.append(&WalRecord::Coalesce {
             txn: txn.0,
             low: low.clone(),
@@ -229,29 +236,31 @@ impl DurableState {
     }
 
     /// Commits: appends the commit record and syncs. After this returns, the
-    /// transaction survives any crash. Unknown transactions are a no-op
-    /// (idempotent commit of an empty transaction).
+    /// transaction survives any crash. A transaction that logged nothing
+    /// (read-only, or unknown) appends and syncs nothing.
     pub fn commit(&mut self, txn: TxnId) {
-        if self.undo.remove(&txn).is_some() {
+        if self.undo.remove(&txn).is_some_and(|undo| !undo.is_empty()) {
             self.wal.append(&WalRecord::Commit { txn: txn.0 });
             self.wal.sync();
         }
     }
 
     /// Aborts: rolls memory back via the undo log (reverse order) and logs
-    /// an abort record. Idempotent. Returns whether any state change was
-    /// rolled back (lets callers skip cache invalidation for read-only
-    /// transactions).
+    /// an abort record if the transaction logged anything. Idempotent.
+    /// Returns whether any state change was rolled back (lets callers skip
+    /// cache invalidation for read-only transactions).
     pub fn abort(&mut self, txn: TxnId) -> bool {
-        if let Some(mut undo) = self.undo.remove(&txn) {
-            let undid = !undo.is_empty();
-            while let Some(rec) = undo.pop() {
-                apply_undo_dyn(self.state.as_mut(), rec);
-            }
-            self.wal.append(&WalRecord::Abort { txn: txn.0 });
-            return undid;
+        let Some(mut undo) = self.undo.remove(&txn) else {
+            return false;
+        };
+        if undo.is_empty() {
+            return false;
         }
-        false
+        while let Some(rec) = undo.pop() {
+            apply_undo_dyn(self.state.as_mut(), rec);
+        }
+        self.wal.append(&WalRecord::Abort { txn: txn.0 });
+        true
     }
 
     /// Writes a checkpoint so recovery need not replay the whole log.
@@ -359,6 +368,43 @@ mod tests {
         let rec = DurableState::recover(disk).unwrap();
         assert!(rec.lookup(&k("a")).is_present());
         assert!(!rec.lookup(&k("b")).is_present());
+    }
+
+    #[test]
+    fn read_only_transactions_write_nothing_to_the_wal() {
+        let disk = Arc::new(SimDisk::new());
+        let mut st = DurableState::new(Arc::clone(&disk));
+        st.begin(TxnId(1));
+        st.insert(TxnId(1), &k("a"), v(1), val("A")).unwrap();
+        st.commit(TxnId(1));
+        let (syncs, durable) = (disk.sync_count(), disk.durable_len());
+        st.begin(TxnId(2));
+        assert!(st.lookup(&k("a")).is_present());
+        st.successor(&Key::Low).unwrap();
+        st.commit(TxnId(2));
+        st.begin(TxnId(3));
+        assert!(!st.lookup(&k("b")).is_present());
+        assert!(!st.abort(TxnId(3)));
+        assert_eq!(disk.sync_count(), syncs);
+        assert_eq!(disk.durable_len(), durable);
+        assert_eq!(disk.volatile_len(), 0);
+        // A failed first mutation logs nothing either.
+        st.begin(TxnId(4));
+        assert!(st.insert(TxnId(4), &Key::Low, v(9), val("x")).is_err());
+        st.commit(TxnId(4));
+        assert_eq!(disk.sync_count(), syncs);
+        assert_eq!(disk.volatile_len(), 0);
+        // The first mutation logs the begin record after all; recovery
+        // still sees exactly the committed work.
+        st.begin(TxnId(5));
+        st.insert(TxnId(5), &k("c"), v(1), val("C")).unwrap();
+        st.commit(TxnId(5));
+        assert_eq!(disk.sync_count(), syncs + 1);
+        disk.crash(0);
+        let rec = DurableState::recover(disk).unwrap();
+        assert!(rec.lookup(&k("a")).is_present());
+        assert!(rec.lookup(&k("c")).is_present());
+        assert_eq!(rec.len(), 2);
     }
 
     #[test]

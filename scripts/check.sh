@@ -5,6 +5,9 @@
 #    `repdir-*` path crates (the zero-external-dependency policy, DESIGN.md §6).
 # 2. Builds the whole workspace offline (release, all targets).
 # 3. Runs the full test suite offline.
+# 3a. Builds the repository benchmark (perfbench/, its own workspace) and
+#    runs its tests, which check that the program still builds against the
+#    crates' public API and agrees with BENCHMARK.json.
 # 4. Runs the suite_latency bench in quick mode, which fails unless quorum
 #    fan-out beats the sequential baseline by >= 1.5x median latency AND the
 #    obs-instrumented build (timing armed) stays within 5% of the disarmed
@@ -83,6 +86,11 @@ gate_done
 
 gate "cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
+gate_done
+
+gate "perfbench: release build + cargo test (public API and BENCHMARK.json agreement)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 gate_done
 
 gate "cargo build --offline --examples"
