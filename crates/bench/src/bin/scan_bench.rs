@@ -1,12 +1,13 @@
-//! Session quorums + batched envelopes vs the per-hop baseline on `scan`.
+//! Session quorums + chunked range reads vs the per-hop baseline on `scan`.
 //!
 //! The per-hop scan runs one full `real_successor` search per entry: collect
 //! a read quorum (one ping wave), refill neighbor chains (one data wave),
 //! and look the candidate up (another data wave) — roughly three round-trips
 //! per entry on a uniform fabric. The session scan collects its quorum once
 //! ([`QuorumSession`](repdir_core::QuorumSession)), holds it across the
-//! whole walk, and packs each hop's candidate lookup plus chain prefetch
-//! into one `Batch` envelope per member — roughly one round-trip per entry.
+//! whole walk, and has each member stream its entries with their values in
+//! chunks of [`SCAN_CHUNK`] — one round trip per member per chunk, with
+//! every member's vote for an entry read off its chunk.
 //!
 //! The fixture is a 3-member suite (R=2, W=2) of networked transactional
 //! representatives behind a fixed per-message latency, scanning a directory
@@ -18,13 +19,15 @@
 //! ```
 //!
 //! `--check` exits nonzero unless the session scan's median beats the
-//! per-hop baseline by the gate factor (the `scripts/check.sh` perf gate).
-//! Every run rewrites `BENCH_scan.json` at the repo root.
+//! per-hop baseline by the gate factor, the session scan re-validates
+//! nothing, and its fabric messages per scan stay within
+//! [`session_msg_bound`] (the `scripts/check.sh` perf gate). Every run
+//! rewrites `BENCH_scan.json` at the repo root.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repdir_core::suite::{DirSuite, RandomPolicy, SuiteConfig};
+use repdir_core::suite::{DirSuite, RandomPolicy, SuiteConfig, SCAN_CHUNK};
 use repdir_core::{Key, RepId, Value};
 use repdir_net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir_replica::{serve_rep, RemoteSessionClient, TransactionalRep};
@@ -34,6 +37,15 @@ const MEMBERS: u32 = 3;
 const READ_QUORUM: u32 = 2;
 const WRITE_QUORUM: u32 = 2;
 const ENTRIES: usize = 64;
+
+/// The most fabric messages a failure-free session scan may send: a ping
+/// and its reply per read-quorum member, plus a request and its reply per
+/// member per chunk of that member's chain. A chain holds the member's
+/// entries (at most `ENTRIES`) and the closing `HIGH` sentinel.
+fn session_msg_bound() -> u64 {
+    let chunks = (ENTRIES as u64 + 1).div_ceil(SCAN_CHUNK as u64);
+    2 * u64::from(READ_QUORUM) * (1 + chunks)
+}
 
 struct Samples {
     us: Vec<u64>,
@@ -194,6 +206,8 @@ fn main() {
     println!("session reuse hits: {reuse}, re-validations: {revalidate}");
     println!("speedup (per-hop median / session median): {speedup:.2}x");
     println!("fabric message reduction: {msg_ratio:.2}x fewer messages per scan");
+    let msg_bound = session_msg_bound();
+    println!("session fabric messages per scan: {session_msgs} (bound {msg_bound})");
 
     let doc = format!(
         concat!(
@@ -201,7 +215,8 @@ fn main() {
             "  \"members\": {}, \"read_quorum\": {}, \"write_quorum\": {},\n",
             "  \"entries\": {}, \"hop_us\": {}, \"scans\": {},\n",
             "  \"per_hop\": {},\n  \"session\": {},\n",
-            "  \"fabric_msgs_per_scan\": {{\"per_hop\": {}, \"session\": {}}},\n",
+            "  \"fabric_msgs_per_scan\": {{\"per_hop\": {}, \"session\": {}, \"session_bound\": {}}},\n",
+            "  \"scan_chunk\": {},\n",
             "  \"session_reuse\": {}, \"session_revalidate\": {},\n",
             "  \"msg_ratio\": {:.3},\n  \"speedup_median\": {:.3}\n}}\n"
         ),
@@ -216,6 +231,8 @@ fn main() {
         json_samples(&session),
         baseline_msgs,
         session_msgs,
+        msg_bound,
+        SCAN_CHUNK,
         reuse,
         revalidate,
         msg_ratio,
@@ -243,9 +260,16 @@ fn main() {
             eprintln!("FAIL: {revalidate} re-validations on a failure-free fabric");
             ok = false;
         }
+        if session_msgs > msg_bound {
+            eprintln!("FAIL: {session_msgs} fabric messages per session scan, bound {msg_bound}");
+            ok = false;
+        }
         if !ok {
             std::process::exit(1);
         }
-        println!("check passed: session scan >= {GATE}x faster than per-hop, no re-validations");
+        println!(
+            "check passed: session scan >= {GATE}x faster than per-hop, no re-validations, \
+             <= {msg_bound} fabric messages per scan"
+        );
     }
 }

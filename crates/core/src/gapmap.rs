@@ -80,6 +80,18 @@ pub struct NeighborReply {
     pub gap_version: Version,
 }
 
+/// One element of a successor range read: a `DirRepSuccessor` step plus
+/// the returned entry's value, both read in the same state access (so the
+/// element answers `DirRepLookup` of its key as well). The `HIGH` sentinel
+/// carries an empty value, as [`GapMap::lookup`] reports it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ChainEntry {
+    /// The successor step.
+    pub neighbor: NeighborReply,
+    /// The value stored under `neighbor.key`.
+    pub value: Value,
+}
+
 /// Outcome of [`GapMap::insert`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InsertOutcome {
@@ -391,6 +403,28 @@ impl GapMap {
             }
         }
         Ok(out)
+    }
+
+    /// [`successor_chain`](GapMap::successor_chain) with each element's
+    /// value: up to `limit` successive entries above `key`, stopping at
+    /// `HIGH`.
+    ///
+    /// # Errors
+    ///
+    /// [`RepError::SentinelViolation`] if `key` is `HIGH`.
+    pub fn successor_entries(&self, key: &Key, limit: usize) -> Result<Vec<ChainEntry>, RepError> {
+        Ok(self
+            .successor_chain(key, limit)?
+            .into_iter()
+            .map(|neighbor| ChainEntry {
+                value: self
+                    .lookup(&neighbor.key)
+                    .value()
+                    .cloned()
+                    .unwrap_or_default(),
+                neighbor,
+            })
+            .collect())
     }
 
     /// `DirRepInsert(x, v, z)`: creates an entry for `x` with version `v` and

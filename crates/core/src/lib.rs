@@ -83,7 +83,8 @@ mod version;
 
 pub use error::{ConfigError, QuorumKind, RepError, SuiteError};
 pub use gapmap::{
-    CoalesceOutcome, GapInfo, GapMap, InsertOutcome, LookupReply, NeighborReply, RemovedEntry,
+    ChainEntry, CoalesceOutcome, GapInfo, GapMap, InsertOutcome, LookupReply, NeighborReply,
+    RemovedEntry,
 };
 pub use key::{Key, UserKey};
 pub use rep::{BatchReply, BatchRequest, LocalRep, RepClient, RepId, RepResult};

@@ -17,7 +17,9 @@ use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use crate::error::RepError;
-use crate::gapmap::{CoalesceOutcome, GapMap, InsertOutcome, LookupReply, NeighborReply};
+use crate::gapmap::{
+    ChainEntry, CoalesceOutcome, GapMap, InsertOutcome, LookupReply, NeighborReply,
+};
 use crate::key::Key;
 use crate::value::Value;
 use crate::version::Version;
@@ -58,16 +60,15 @@ pub type RepResult<T> = Result<T, RepError>;
 
 /// One sub-request inside a batched scatter envelope
 /// ([`RepClient::batch`]). Only the operations the suite packs together on
-/// its bulk-walk hot paths are representable: a point lookup, the §4
-/// neighbor chains, and the versioned insert that bulk ingest scatters.
+/// its bulk-walk hot paths are representable: a point lookup, the scan's
+/// chunked range read, and the versioned insert that bulk ingest scatters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchRequest {
     /// `DirRepLookup(x)`.
     Lookup(Key),
-    /// Up to `limit` successive `DirRepPredecessor` results from the key.
-    PredecessorChain(Key, usize),
-    /// Up to `limit` successive `DirRepSuccessor` results from the key.
-    SuccessorChain(Key, usize),
+    /// Up to `limit` successive `DirRepSuccessor` results from the key, each
+    /// with its entry's value ([`RepClient::successor_entries`]).
+    SuccessorEntries(Key, usize),
     /// `DirRepInsert(x, v, z)` — the write half of bulk ingest. Carries the
     /// explicit version the suite assigned, so replaying the same envelope
     /// after a session re-validation overwrites idempotently.
@@ -79,8 +80,8 @@ pub enum BatchRequest {
 pub enum BatchReply {
     /// Reply to [`BatchRequest::Lookup`].
     Lookup(LookupReply),
-    /// Reply to either chain request.
-    Chain(Vec<NeighborReply>),
+    /// Reply to [`BatchRequest::SuccessorEntries`].
+    Entries(Vec<ChainEntry>),
     /// Reply to [`BatchRequest::Insert`].
     Insert(InsertOutcome),
 }
@@ -168,6 +169,28 @@ pub trait RepClient: Send + Sync {
         Ok(out)
     }
 
+    /// [`successor_chain`](RepClient::successor_chain) with each element's
+    /// value, read under the element's own `RepLookup(x, y)` lock — a chunk
+    /// of the scan's range read. The default looks every element up after
+    /// the chain; transactional and networked implementations read the
+    /// value in the same state access as the step.
+    ///
+    /// # Errors
+    ///
+    /// As [`successor`](RepClient::successor).
+    fn successor_entries(&self, key: &Key, limit: usize) -> RepResult<Vec<ChainEntry>> {
+        self.successor_chain(key, limit)?
+            .into_iter()
+            .map(|neighbor| match self.lookup(&neighbor.key)? {
+                LookupReply::Present { value, .. } => Ok(ChainEntry { neighbor, value }),
+                LookupReply::Absent { .. } => Err(RepError::Storage(format!(
+                    "{:?} vanished between its successor step and its lookup",
+                    neighbor.key
+                ))),
+            })
+            .collect()
+    }
+
     /// `DirRepInsert(x, v, z)` — create or overwrite the entry. Sets
     /// `RepModify(x, x)`.
     fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome>;
@@ -194,11 +217,8 @@ pub trait RepClient: Send + Sync {
             .map(|req| {
                 Ok(match req {
                     BatchRequest::Lookup(key) => BatchReply::Lookup(self.lookup(key)?),
-                    BatchRequest::PredecessorChain(key, limit) => {
-                        BatchReply::Chain(self.predecessor_chain(key, *limit)?)
-                    }
-                    BatchRequest::SuccessorChain(key, limit) => {
-                        BatchReply::Chain(self.successor_chain(key, *limit)?)
+                    BatchRequest::SuccessorEntries(key, limit) => {
+                        BatchReply::Entries(self.successor_entries(key, *limit)?)
                     }
                     BatchRequest::Insert(key, version, value) => {
                         BatchReply::Insert(self.insert(key, *version, value)?)
@@ -233,6 +253,9 @@ impl<T: RepClient + ?Sized> RepClient for &T {
     fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
         (**self).successor_chain(key, limit)
     }
+    fn successor_entries(&self, key: &Key, limit: usize) -> RepResult<Vec<ChainEntry>> {
+        (**self).successor_entries(key, limit)
+    }
     fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
         (**self).insert(key, version, value)
     }
@@ -265,6 +288,9 @@ impl<T: RepClient + ?Sized> RepClient for Arc<T> {
     }
     fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
         (**self).successor_chain(key, limit)
+    }
+    fn successor_entries(&self, key: &Key, limit: usize) -> RepResult<Vec<ChainEntry>> {
+        (**self).successor_entries(key, limit)
     }
     fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
         (**self).insert(key, version, value)
@@ -421,6 +447,12 @@ impl RepClient for LocalRep {
         g.state.successor_chain(key, limit)
     }
 
+    fn successor_entries(&self, key: &Key, limit: usize) -> RepResult<Vec<ChainEntry>> {
+        let g = self.read();
+        Self::check_up(&g)?;
+        g.state.successor_entries(key, limit)
+    }
+
     fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
         let mut g = self.write();
         Self::check_up(&g)?;
@@ -533,22 +565,17 @@ mod tests {
         let replies = rep
             .batch(&[
                 BatchRequest::Lookup(k("a")),
-                BatchRequest::SuccessorChain(Key::Low, 3),
-                BatchRequest::PredecessorChain(Key::High, 2),
+                BatchRequest::SuccessorEntries(Key::Low, 3),
                 BatchRequest::Lookup(k("b")),
             ])
             .unwrap();
-        assert_eq!(replies.len(), 4);
+        assert_eq!(replies.len(), 3);
         assert_eq!(replies[0], BatchReply::Lookup(rep.lookup(&k("a")).unwrap()));
         assert_eq!(
             replies[1],
-            BatchReply::Chain(rep.successor_chain(&Key::Low, 3).unwrap())
+            BatchReply::Entries(rep.successor_entries(&Key::Low, 3).unwrap())
         );
-        assert_eq!(
-            replies[2],
-            BatchReply::Chain(rep.predecessor_chain(&Key::High, 2).unwrap())
-        );
-        assert_eq!(replies[3], BatchReply::Lookup(rep.lookup(&k("b")).unwrap()));
+        assert_eq!(replies[2], BatchReply::Lookup(rep.lookup(&k("b")).unwrap()));
         // Write sub-requests apply through the same dispatch.
         let replies = rep
             .batch(&[BatchRequest::Insert(
@@ -573,6 +600,69 @@ mod tests {
         assert_eq!(
             rep.batch(&[BatchRequest::Lookup(k("a"))]),
             Err(RepError::Unavailable)
+        );
+    }
+
+    #[test]
+    fn successor_entries_pair_each_step_with_its_value() {
+        // A client with only the required methods takes the provided path.
+        struct Plain(LocalRep);
+        impl RepClient for Plain {
+            fn id(&self) -> RepId {
+                self.0.id()
+            }
+            fn ping(&self) -> RepResult<()> {
+                self.0.ping()
+            }
+            fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
+                self.0.lookup(key)
+            }
+            fn predecessor(&self, key: &Key) -> RepResult<NeighborReply> {
+                self.0.predecessor(key)
+            }
+            fn successor(&self, key: &Key) -> RepResult<NeighborReply> {
+                self.0.successor(key)
+            }
+            fn insert(&self, key: &Key, v: Version, value: &Value) -> RepResult<InsertOutcome> {
+                self.0.insert(key, v, value)
+            }
+            fn coalesce(&self, low: &Key, high: &Key, v: Version) -> RepResult<CoalesceOutcome> {
+                self.0.coalesce(low, high, v)
+            }
+        }
+        let rep = LocalRep::new(RepId(0));
+        for (key, v) in [("a", 1), ("b", 4), ("c", 2)] {
+            rep.insert(&k(key), Version::new(v), &Value::from(key))
+                .unwrap();
+        }
+        rep.coalesce(&k("a"), &k("c"), Version::new(6)).unwrap();
+        let entry = |key: Key, entry: u64, gap: u64, value: &str| ChainEntry {
+            neighbor: NeighborReply {
+                key,
+                entry_version: Version::new(entry),
+                gap_version: Version::new(gap),
+            },
+            value: Value::from(value),
+        };
+        let all = vec![
+            entry(k("a"), 1, 0, "a"),
+            entry(k("c"), 2, 6, "c"),
+            entry(Key::High, 0, 0, ""),
+        ];
+        assert_eq!(rep.successor_entries(&Key::Low, 8).unwrap(), all);
+        assert_eq!(
+            Plain(rep.clone()).successor_entries(&Key::Low, 8).unwrap(),
+            all
+        );
+        // A limit cuts the chunk; the next one continues from its last key.
+        assert_eq!(rep.successor_entries(&Key::Low, 1).unwrap(), all[..1]);
+        assert_eq!(rep.successor_entries(&k("a"), 8).unwrap(), all[1..]);
+        assert_eq!(
+            rep.successor_entries(&Key::High, 1),
+            Err(RepError::SentinelViolation {
+                key: Key::High,
+                op: "successor"
+            })
         );
     }
 

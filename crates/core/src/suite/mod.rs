@@ -23,7 +23,7 @@ pub use set::DirSet;
 
 use crate::channel::Sender;
 use crate::error::{ConfigError, QuorumKind, RepError, SuiteError};
-use crate::gapmap::LookupReply;
+use crate::gapmap::{ChainEntry, LookupReply};
 use crate::key::Key;
 use crate::rep::{BatchReply, BatchRequest, LocalRep, RepClient, RepId, RepResult};
 use crate::value::Value;
@@ -198,6 +198,11 @@ struct SuiteObs {
 /// successes decay it back. (Resetting the EWMA would be worse: unsampled
 /// members sort *first* in [`LatencyPolicy`]'s order.)
 const FAILED_RPC_PENALTY: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// Entries each read-quorum member sends per envelope of a session scan
+/// ([`BatchRequest::SuccessorEntries`]): listing N entries costs each
+/// member about N / `SCAN_CHUNK` round trips.
+pub const SCAN_CHUNK: usize = 128;
 
 impl SuiteObs {
     fn new(registry: Registry, n: usize) -> Self {
@@ -1470,7 +1475,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
 
     /// One attempt at the Fig. 12 walk: collects (or reuses) the read
     /// quorum, then hops until the candidate answers present. Chain
-    /// bookkeeping lives in [`NeighborChains`], shared with the scan walk.
+    /// bookkeeping lives in [`NeighborChains`].
     fn neighbor_walk(&mut self, key: &Key, dir: Direction) -> Result<NeighborSearch, SuiteError> {
         let quorum = self.collect_quorum(QuorumKind::Read, Some(key))?;
         let batch = self.neighbor_batch;
@@ -1687,92 +1692,80 @@ impl<C: RepClient + 'static> DirSuite<C> {
         }
     }
 
-    /// One session-quorum sweep from `LOW` to `HIGH`. The quorum is
-    /// collected once and held ([`QuorumSession`]); every hop costs one
-    /// batched envelope per member carrying the candidate's lookup plus,
-    /// for members whose chain the hop drains, the next chain refill — so a
-    /// failure-free scan pays one quorum collection and roughly one RPC
-    /// round-trip per entry instead of the per-hop baseline's three-plus.
+    /// One session-quorum sweep from `LOW` to `HIGH`, as a chunked range
+    /// read. The quorum is collected once and held ([`QuorumSession`]);
+    /// each member streams its entries, values included, in chunks of
+    /// [`SCAN_CHUNK`] ([`BatchRequest::SuccessorEntries`]), refilled when
+    /// its buffer runs dry. A member's `DirRepLookup` vote for the candidate
+    /// is read off its chain: a head equal to the candidate is present with
+    /// its version and value; a head beyond it is absent under the head's
+    /// gap version, the gap that contains the candidate. The chunk's
+    /// `RepLookup(x, y]` locks cover the candidate, so the vote is what a
+    /// lookup would have returned (DESIGN.md §10). A failure-free listing of
+    /// N entries costs one quorum collection and about N / `SCAN_CHUNK`
+    /// round trips per member.
     fn scan_walk(&mut self) -> Result<Vec<(crate::key::UserKey, Value)>, SuiteError> {
-        let batch = self.neighbor_batch;
-        let dir = Direction::Succ;
         let quorum = self.collect_quorum(QuorumKind::Read, None)?;
-        let mut walk = NeighborChains::new(dir, &Key::Low, quorum.len());
+        let mut chains = vec![std::collections::VecDeque::<ChainEntry>::new(); quorum.len()];
+        // Where each member's next chunk continues from: the last key it
+        // sent. A chain ends with `HIGH`, which the walk never passes, so a
+        // dry member can always advance.
+        let mut from = vec![Key::Low; quorum.len()];
         let mut out = Vec::new();
-        let mut probe = Key::Low;
-        // The scan reports logical contents only, but gap versions fold the
-        // same way the searches fold them, keeping the chain bookkeeping
-        // identical.
-        let mut max_gap_version = Version::ZERO;
         loop {
-            // Re-assert the session each hop: a cached, no-RPC check while
-            // the session holds. `suite.session.reuse` counts the ping
-            // waves this saved over per-hop collection.
-            let hop_quorum = self.collect_quorum(QuorumKind::Read, None)?;
-            debug_assert_eq!(hop_quorum, quorum, "session quorum changed mid-walk");
-            walk.discard_passed(&probe, &mut max_gap_version);
-            let refills = walk.refills();
-            if !refills.is_empty() {
-                let targets: Vec<usize> = refills.iter().map(|&(qi, _)| quorum[qi]).collect();
-                let froms: Vec<Key> = refills.iter().map(|(_, from)| from.clone()).collect();
-                let waves = self.scatter(&targets, move |slot, c| {
-                    c.successor_chain(&froms[slot], batch)
-                });
-                for (slot, wave) in waves.into_iter().enumerate() {
-                    walk.integrate(refills[slot].0, wave?, &probe, &mut max_gap_version);
-                }
-            }
-            let candidate = match walk.candidate(&mut max_gap_version) {
-                // The HIGH sentinel is unconditionally present at every
-                // representative, so unlike the searches the scan skips its
-                // closing lookup: it carries no information.
-                Key::High => return Ok(out),
-                other => other,
-            };
-            // One envelope per member: the candidate's lookup, plus a chain
-            // prefetch for members this hop leaves dry so the next hop
-            // needs no separate refill wave.
-            let envelopes: Vec<Vec<BatchRequest>> = (0..quorum.len())
-                .map(|qi| {
-                    let mut reqs = vec![BatchRequest::Lookup(candidate.clone())];
-                    if let Some(from) = walk.prefetch_from(qi, &candidate) {
-                        reqs.push(BatchRequest::SuccessorChain(from, batch));
-                    }
-                    reqs
-                })
+            let dry: Vec<usize> = (0..quorum.len())
+                .filter(|&qi| chains[qi].is_empty())
                 .collect();
-            let prefetched: Vec<bool> = envelopes.iter().map(|env| env.len() > 1).collect();
-            let waves = self.scatter(&quorum, move |slot, c| c.batch(&envelopes[slot]));
-            // Every member's lookup participates in the merge — ghost
-            // detection needs the full quorum's votes, exactly as
-            // `DirSuiteLookup` merges them.
-            let mut best: Option<LookupReply> = None;
-            for (qi, wave) in waves.into_iter().enumerate() {
-                let mut parts = wave?.into_iter();
-                match parts.next() {
-                    Some(BatchReply::Lookup(reply)) => {
-                        best = Some(match best {
-                            None => reply,
-                            Some(cur) => pick_reply(cur, reply),
-                        });
-                    }
-                    _ => return Err(protocol_violation("batch envelope missing lookup reply")),
-                }
-                if prefetched[qi] {
-                    match parts.next() {
-                        Some(BatchReply::Chain(chain)) => {
-                            walk.integrate(qi, chain, &probe, &mut max_gap_version);
+            if !dry.is_empty() {
+                // Re-assert the session before each refill wave: a cached,
+                // no-RPC check while the session holds.
+                let held = self.collect_quorum(QuorumKind::Read, None)?;
+                debug_assert_eq!(held, quorum, "session quorum changed mid-walk");
+                let targets: Vec<usize> = dry.iter().map(|&qi| quorum[qi]).collect();
+                let envelopes: Vec<[BatchRequest; 1]> = dry
+                    .iter()
+                    .map(|&qi| [BatchRequest::SuccessorEntries(from[qi].clone(), SCAN_CHUNK)])
+                    .collect();
+                let waves = self.scatter(&targets, move |slot, c| c.batch(&envelopes[slot]));
+                for (&qi, wave) in dry.iter().zip(waves) {
+                    match wave?.pop() {
+                        Some(BatchReply::Entries(entries)) if !entries.is_empty() => {
+                            from[qi] = entries[entries.len() - 1].neighbor.key.clone();
+                            chains[qi].extend(entries);
                         }
-                        _ => return Err(protocol_violation("batch envelope missing chain reply")),
+                        _ => return Err(protocol_violation("scan envelope without entries")),
                     }
                 }
             }
-            if let LookupReply::Present { value, .. } = best.expect("quorum is never empty") {
-                if let Key::User(u) = &candidate {
-                    out.push((u.clone(), value));
+            let candidate = chains
+                .iter()
+                .map(|chain| &chain[0].neighbor.key)
+                .min()
+                .expect("quorum is never empty")
+                .clone();
+            // `HIGH` is present at every member and carries no entry.
+            let Key::User(user) = &candidate else {
+                return Ok(out);
+            };
+            // Every member votes, exactly as `DirSuiteLookup` merges them:
+            // ghost detection needs the whole quorum.
+            let vote = |chain: &mut std::collections::VecDeque<ChainEntry>| {
+                if chain[0].neighbor.key == candidate {
+                    let head = chain.pop_front().expect("chain has a head");
+                    LookupReply::Present {
+                        version: head.neighbor.entry_version,
+                        value: head.value,
+                    }
+                } else {
+                    LookupReply::Absent {
+                        gap_version: chain[0].neighbor.gap_version,
+                    }
                 }
+            };
+            let merged = chains.iter_mut().map(vote).reduce(pick_reply);
+            if let Some(LookupReply::Present { value, .. }) = merged {
+                out.push((user.clone(), value));
             }
-            probe = candidate;
         }
     }
 
@@ -2529,9 +2522,8 @@ fn protocol_violation(what: &str) -> SuiteError {
 /// The per-member chain buffers a Fig. 12 walk holds: for each quorum slot,
 /// successive [`NeighborReply`](crate::gapmap::NeighborReply)s not yet
 /// consumed (keys strictly monotonic toward the terminal) plus the key the
-/// member's next chain RPC continues from. Shared by the neighbor searches
-/// and the session scan so the discard/refill bookkeeping lives in one
-/// place.
+/// member's next chain RPC continues from. Shared by both directions of
+/// the neighbor search.
 struct NeighborChains {
     dir: Direction,
     chains: Vec<std::collections::VecDeque<crate::gapmap::NeighborReply>>,
@@ -2564,7 +2556,7 @@ impl NeighborChains {
             .collect()
     }
 
-    /// Folds one refill (or prefetch) result into `slot`: advances the
+    /// Folds one refill result into `slot`: advances the
     /// continue-from key — an empty chain means the member is exhausted —
     /// then re-discards elements the walk has already passed.
     fn integrate(
@@ -2604,23 +2596,6 @@ impl NeighborChains {
             }
         }
         candidate
-    }
-
-    /// Where `slot`'s next refill would continue from, iff consuming
-    /// `candidate` leaves its buffer dry while the member can still
-    /// advance. The scan walk piggybacks that refill onto the candidate's
-    /// lookup envelope, sparing the next hop a separate refill wave.
-    fn prefetch_from(&self, slot: usize, candidate: &Key) -> Option<Key> {
-        if self.next_probe[slot] == self.dir.terminal() {
-            return None;
-        }
-        let chain = &self.chains[slot];
-        let consuming = chain.front().is_some_and(|front| front.key == *candidate);
-        if chain.len() <= usize::from(consuming) {
-            Some(self.next_probe[slot].clone())
-        } else {
-            None
-        }
     }
 }
 
@@ -3625,10 +3600,6 @@ mod tests {
         walk.integrate(0, vec![reply(&k("z"), 3, 5)], &k("w"), &mut max_gap);
         walk.integrate(1, vec![], &k("w"), &mut max_gap);
         assert_eq!(walk.candidate(&mut max_gap), k("z"));
-        // Consuming the ghost leaves slot 0 dry with chain left to fetch;
-        // slot 1 is exhausted at HIGH and must not prefetch.
-        assert_eq!(walk.prefetch_from(0, &k("z")), Some(k("z")));
-        assert_eq!(walk.prefetch_from(1, &k("z")), None);
         walk.discard_passed(&k("z"), &mut max_gap);
         walk.integrate(0, vec![], &k("z"), &mut max_gap);
         assert_eq!(walk.candidate(&mut max_gap), Key::High);

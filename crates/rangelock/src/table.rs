@@ -48,11 +48,42 @@ impl fmt::Display for LockError {
 
 impl std::error::Error for LockError {}
 
-#[derive(Clone, Debug)]
-struct Granted {
-    owner: TxnId,
-    mode: LockMode,
-    range: KeyRange,
+/// One owner's granted locks, split by mode. A request is checked only
+/// against *other* owners' entries (its own never conflict), and a
+/// `Lookup` request only against their `Modify` ranges, since Fig. 7
+/// makes `Lookup`/`Lookup` pairs compatible. A transaction holding many
+/// grants, such as a listing, therefore costs its own acquires nothing.
+#[derive(Clone, Debug, Default)]
+struct Held {
+    lookups: Vec<KeyRange>,
+    modifies: Vec<KeyRange>,
+}
+
+impl Held {
+    fn push(&mut self, mode: LockMode, range: KeyRange) {
+        match mode {
+            LockMode::Lookup => self.lookups.push(range),
+            LockMode::Modify => self.modifies.push(range),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lookups.len() + self.modifies.len()
+    }
+
+    fn grants(&self) -> impl Iterator<Item = (LockMode, &KeyRange)> {
+        let lookups = self.lookups.iter().map(|r| (LockMode::Lookup, r));
+        lookups.chain(self.modifies.iter().map(|r| (LockMode::Modify, r)))
+    }
+
+    /// Whether any grant here is incompatible with the request.
+    fn conflicts(&self, mode: LockMode, range: &KeyRange) -> bool {
+        let clash = |held: LockMode, ranges: &[KeyRange]| {
+            ranges.iter().any(|r| !compatible(held, r, mode, range))
+        };
+        clash(LockMode::Modify, &self.modifies)
+            || (mode == LockMode::Modify && clash(LockMode::Lookup, &self.lookups))
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -63,9 +94,16 @@ struct Waiting {
 
 #[derive(Default)]
 struct State {
-    granted: Vec<Granted>,
+    /// Granted locks by owner; an owner appears only while it holds one.
+    granted: HashMap<TxnId, Held>,
     waiting: HashMap<TxnId, Waiting>,
     stats: LockStats,
+}
+
+impl State {
+    fn granted_count(&self) -> usize {
+        self.granted.values().map(Held::len).sum()
+    }
 }
 
 /// Cumulative counters for observability and the lock benchmarks.
@@ -306,7 +344,7 @@ impl RangeLockTable {
         let mut st = self.state.lock();
         let conflicts = conflicts_of(&st.granted, owner, mode, &range);
         if conflicts.is_empty() {
-            st.granted.push(Granted { owner, mode, range });
+            st.granted.entry(owner).or_default().push(mode, range);
             st.stats.granted += 1;
             self.obs.granted.inc();
             Ok(())
@@ -350,7 +388,7 @@ impl RangeLockTable {
                 if let Some(d) = &domain {
                     d.clear_waits(self.id, owner);
                 }
-                st.granted.push(Granted { owner, mode, range });
+                st.granted.entry(owner).or_default().push(mode, range);
                 st.stats.granted += 1;
                 self.obs.granted.inc();
                 if waited {
@@ -418,7 +456,7 @@ impl RangeLockTable {
     pub fn release_all(&self, owner: TxnId) {
         let domain = self.domain.lock().clone();
         let mut st = self.state.lock();
-        st.granted.retain(|g| g.owner != owner);
+        st.granted.remove(&owner);
         st.waiting.remove(&owner);
         if let Some(d) = &domain {
             d.forget(owner);
@@ -445,15 +483,13 @@ impl RangeLockTable {
 
     /// Number of locks currently granted.
     pub fn granted_count(&self) -> usize {
-        self.state.lock().granted.len()
+        self.state.lock().granted_count()
     }
 
     /// Ids of transactions currently holding at least one lock.
     pub fn holders(&self) -> Vec<TxnId> {
-        let st = self.state.lock();
-        let mut ids: Vec<TxnId> = st.granted.iter().map(|g| g.owner).collect();
+        let mut ids: Vec<TxnId> = self.state.lock().granted.keys().copied().collect();
         ids.sort_unstable();
-        ids.dedup();
         ids
     }
 
@@ -466,10 +502,14 @@ impl RangeLockTable {
     /// Test/debug aid; the table upholds this by construction.
     pub fn check_invariants(&self) -> Result<(), String> {
         let st = self.state.lock();
-        for (i, a) in st.granted.iter().enumerate() {
-            for b in &st.granted[i + 1..] {
-                if a.owner != b.owner && !compatible(a.mode, &a.range, b.mode, &b.range) {
-                    return Err(format!("incompatible grants coexist: {a:?} and {b:?}"));
+        for (a, a_held) in &st.granted {
+            for (b, b_held) in st.granted.iter().filter(|(b, _)| a < *b) {
+                for (mode, range) in a_held.grants() {
+                    if b_held.conflicts(mode, range) {
+                        return Err(format!(
+                            "incompatible grants coexist: {a} {mode} {range:?} against {b}"
+                        ));
+                    }
                 }
             }
         }
@@ -481,23 +521,27 @@ impl fmt::Debug for RangeLockTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.state.lock();
         f.debug_struct("RangeLockTable")
-            .field("granted", &st.granted.len())
+            .field("granted", &st.granted_count())
             .field("waiting", &st.waiting.len())
             .field("stats", &st.stats)
             .finish()
     }
 }
 
-/// Owners whose granted locks are incompatible with the request
-/// (deduplicated; the requester's own locks never conflict).
-fn conflicts_of(granted: &[Granted], owner: TxnId, mode: LockMode, range: &KeyRange) -> Vec<TxnId> {
+/// Owners whose granted locks are incompatible with the request, in id
+/// order (the requester's own locks never conflict).
+fn conflicts_of(
+    granted: &HashMap<TxnId, Held>,
+    owner: TxnId,
+    mode: LockMode,
+    range: &KeyRange,
+) -> Vec<TxnId> {
     let mut out: Vec<TxnId> = granted
         .iter()
-        .filter(|g| g.owner != owner && !compatible(g.mode, &g.range, mode, range))
-        .map(|g| g.owner)
+        .filter(|(o, held)| **o != owner && held.conflicts(mode, range))
+        .map(|(o, _)| *o)
         .collect();
     out.sort_unstable();
-    out.dedup();
     out
 }
 
@@ -811,6 +855,73 @@ mod tests {
         t.release_all(TxnId(1));
         t.release_all(TxnId(1));
         assert_eq!(t.holders(), vec![TxnId(2)]);
+    }
+
+    /// The owner index under a listing-sized load: one transaction holds
+    /// 50,000 grants, and the table still answers another transaction by
+    /// Fig. 7, lets the big owner upgrade in place, and releases it alone.
+    #[test]
+    fn owner_index_keeps_figure7_with_fifty_thousand_grants() {
+        let key = |i: u32| Key::User(repdir_core::UserKey::from_u64(u64::from(i)));
+        let span = |a: u32, b: u32| KeyRange::new(key(a), key(b));
+        let t = RangeLockTable::new();
+        let (big, other) = (TxnId(1), TxnId(2));
+        // A listing's shape: a lookup lock per successor step over keys
+        // 0..50,000, with a point modify on every 1,000th step instead.
+        for i in 0..50_000u32 {
+            let mode = if i % 1_000 == 999 {
+                LockMode::Modify
+            } else {
+                LockMode::Lookup
+            };
+            t.try_acquire(big, mode, span(i, i + 1)).unwrap();
+        }
+        assert_eq!(t.granted_count(), 50_000);
+        assert_eq!(t.holders(), vec![big]);
+
+        // Compatible: a lookup across the big owner's lookups, and a modify
+        // past everything it holds.
+        t.try_acquire(other, LockMode::Lookup, span(10, 20))
+            .unwrap();
+        t.try_acquire(other, LockMode::Modify, span(60_000, 60_010))
+            .unwrap();
+        // Incompatible: a lookup touching one of its modifies, a modify
+        // touching its lookups. Both name the big owner alone.
+        assert_eq!(
+            t.try_acquire(other, LockMode::Lookup, span(1_999, 1_999)),
+            Err(vec![big])
+        );
+        assert_eq!(
+            t.try_acquire(other, LockMode::Modify, span(30_000, 30_000)),
+            Err(vec![big])
+        );
+        assert_eq!(
+            t.acquire(other, LockMode::Modify, span(5, 5), SHORT),
+            Err(LockError::Timeout)
+        );
+        // Re-entrant upgrades: each owner turns its own lookups into
+        // modifies wherever the other holds nothing that clashes.
+        t.acquire(big, LockMode::Modify, span(40_000, 40_100), SHORT)
+            .unwrap();
+        t.acquire(other, LockMode::Modify, span(60_000, 60_005), SHORT)
+            .unwrap();
+        // ...but not over a range the other owner reads.
+        assert_eq!(
+            t.try_acquire(big, LockMode::Modify, span(15, 15)),
+            Err(vec![other])
+        );
+        assert_eq!(t.granted_count(), 50_004);
+        assert_eq!(t.holders(), vec![big, other]);
+        t.check_invariants().unwrap();
+
+        t.release_all(big);
+        assert_eq!(t.granted_count(), 3, "exactly the other owner's grants");
+        assert_eq!(t.holders(), vec![other]);
+        t.check_invariants().unwrap();
+        // The big owner's ranges are free again for a writer.
+        t.try_acquire(TxnId(3), LockMode::Modify, span(30_000, 30_000))
+            .unwrap();
+        t.check_invariants().unwrap();
     }
 
     mod properties {

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use repdir_core::{
-    CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply, RepClient, RepId, RepResult,
-    Value, Version,
+    ChainEntry, CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply, RepClient, RepId,
+    RepResult, Value, Version,
 };
 use repdir_txn::TxnId;
 
@@ -68,6 +68,10 @@ impl RepClient for SessionClient {
 
     fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
         self.rep.successor_chain(self.txn, key, limit)
+    }
+
+    fn successor_entries(&self, key: &Key, limit: usize) -> RepResult<Vec<ChainEntry>> {
+        self.rep.successor_entries(self.txn, key, limit)
     }
 
     fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {

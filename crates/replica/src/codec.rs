@@ -8,8 +8,8 @@
 
 use repdir_core::bytes::{Buf, BufMut};
 use repdir_core::{
-    CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply, RemovedEntry, RepError,
-    UserKey, Value, Version,
+    ChainEntry, CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply, RemovedEntry,
+    RepError, UserKey, Value, Version,
 };
 use repdir_repair::{BucketEntry, BucketView, Digest};
 use repdir_snapshot::{SnapshotChunk, SnapshotManifest};
@@ -32,6 +32,9 @@ pub enum Request {
     PredecessorChain(TxnId, Key, u32),
     /// Batched `DirRepSuccessor` chain.
     SuccessorChain(TxnId, Key, u32),
+    /// One chunk of a scan's range read: a `DirRepSuccessor` chain whose
+    /// elements carry their entries' values. Key and element limit.
+    SuccessorEntries(TxnId, Key, u32),
     /// `DirRepInsert`.
     Insert(TxnId, Key, Version, Value),
     /// `DirRepCoalesce`.
@@ -82,6 +85,8 @@ pub enum Response {
     Neighbor(NeighborReply),
     /// Batched chain result.
     Chain(Vec<NeighborReply>),
+    /// Chain result with values (reply to [`Request::SuccessorEntries`]).
+    Entries(Vec<ChainEntry>),
     /// Insert result.
     Insert(InsertOutcome),
     /// Coalesce result.
@@ -191,6 +196,20 @@ fn get_value(b: &mut &[u8]) -> DecodeResult<Value> {
     Ok(Value::from(bytes))
 }
 
+fn put_neighbor(b: &mut Vec<u8>, n: &NeighborReply) {
+    put_key(b, &n.key);
+    b.put_u64_le(n.entry_version.get());
+    b.put_u64_le(n.gap_version.get());
+}
+
+fn get_neighbor(b: &mut &[u8]) -> DecodeResult<NeighborReply> {
+    Ok(NeighborReply {
+        key: get_key(b)?,
+        entry_version: Version::new(get_u64(b)?),
+        gap_version: Version::new(get_u64(b)?),
+    })
+}
+
 fn get_u64(b: &mut &[u8]) -> DecodeResult<u64> {
     if b.remaining() < 8 {
         return err("missing u64");
@@ -230,6 +249,7 @@ const RQ_SUMMARY: u8 = 12;
 const RQ_PULL: u8 = 13;
 const RQ_SNAP_BEGIN: u8 = 14;
 const RQ_SNAP_CHUNK: u8 = 15;
+const RQ_SUCC_ENTRIES: u8 = 16;
 
 /// Encodes a request.
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -263,6 +283,12 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::SuccessorChain(t, k, limit) => {
             b.put_u8(RQ_SUCC_CHAIN);
+            b.put_u64_le(t.0);
+            put_key(&mut b, k);
+            b.put_u32_le(*limit);
+        }
+        Request::SuccessorEntries(t, k, limit) => {
+            b.put_u8(RQ_SUCC_ENTRIES);
             b.put_u64_le(t.0);
             put_key(&mut b, k);
             b.put_u32_le(*limit);
@@ -342,6 +368,11 @@ pub fn decode_request(mut b: &[u8]) -> DecodeResult<Request> {
             get_key(b)?,
             get_u32(b)?,
         )),
+        RQ_SUCC_ENTRIES => Ok(Request::SuccessorEntries(
+            TxnId(get_u64(b)?),
+            get_key(b)?,
+            get_u32(b)?,
+        )),
         RQ_INSERT => Ok(Request::Insert(
             TxnId(get_u64(b)?),
             get_key(b)?,
@@ -407,6 +438,7 @@ const RS_SUMMARY: u8 = 10;
 const RS_PULL: u8 = 11;
 const RS_SNAP_MANIFEST: u8 = 12;
 const RS_SNAP_CHUNK: u8 = 13;
+const RS_ENTRIES: u8 = 14;
 
 const ERR_NO_BOUNDARY: u8 = 0;
 const ERR_SENTINEL: u8 = 1;
@@ -502,17 +534,21 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::Neighbor(n) => {
             b.put_u8(RS_NEIGHBOR);
-            put_key(&mut b, &n.key);
-            b.put_u64_le(n.entry_version.get());
-            b.put_u64_le(n.gap_version.get());
+            put_neighbor(&mut b, n);
         }
         Response::Chain(chain) => {
             b.put_u8(RS_CHAIN);
             b.put_u32_le(chain.len() as u32);
             for n in chain {
-                put_key(&mut b, &n.key);
-                b.put_u64_le(n.entry_version.get());
-                b.put_u64_le(n.gap_version.get());
+                put_neighbor(&mut b, n);
+            }
+        }
+        Response::Entries(entries) => {
+            b.put_u8(RS_ENTRIES);
+            b.put_u32_le(entries.len() as u32);
+            for e in entries {
+                put_neighbor(&mut b, &e.neighbor);
+                put_value(&mut b, &e.value);
             }
         }
         Response::Insert(InsertOutcome::Created { split_gap_version }) => {
@@ -603,22 +639,25 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
         RS_LOOKUP_ABSENT => Ok(Response::Lookup(LookupReply::Absent {
             gap_version: Version::new(get_u64(b)?),
         })),
-        RS_NEIGHBOR => Ok(Response::Neighbor(NeighborReply {
-            key: get_key(b)?,
-            entry_version: Version::new(get_u64(b)?),
-            gap_version: Version::new(get_u64(b)?),
-        })),
+        RS_NEIGHBOR => Ok(Response::Neighbor(get_neighbor(b)?)),
         RS_CHAIN => {
             let n = get_u32(b)? as usize;
             let mut chain = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
-                chain.push(NeighborReply {
-                    key: get_key(b)?,
-                    entry_version: Version::new(get_u64(b)?),
-                    gap_version: Version::new(get_u64(b)?),
-                });
+                chain.push(get_neighbor(b)?);
             }
             Ok(Response::Chain(chain))
+        }
+        RS_ENTRIES => {
+            let n = get_u32(b)? as usize;
+            let mut entries = Vec::with_capacity(n.min(4096));
+            for _ in 0..n {
+                entries.push(ChainEntry {
+                    neighbor: get_neighbor(b)?,
+                    value: get_value(b)?,
+                });
+            }
+            Ok(Response::Entries(entries))
         }
         RS_INSERT_CREATED => Ok(Response::Insert(InsertOutcome::Created {
             split_gap_version: Version::new(get_u64(b)?),
@@ -767,9 +806,12 @@ mod tests {
             Request::Commit(TxnId(6)),
             Request::Abort(TxnId(6)),
             Request::Batch(vec![]),
+            Request::SuccessorEntries(TxnId(3), Key::Low, 128),
+            Request::SuccessorEntries(TxnId(3), k("m"), 1),
             Request::Batch(vec![
                 Request::Lookup(TxnId(8), k("q")),
                 Request::SuccessorChain(TxnId(8), k("q"), 4),
+                Request::SuccessorEntries(TxnId(8), k("q"), 64),
             ]),
             Request::Batch(vec![
                 Request::Insert(TxnId(9), k("bulk"), v(2), Value::from("B")),
@@ -791,6 +833,37 @@ mod tests {
             Request::SnapshotChunk {
                 after: Some(UserKey::from("")),
                 max: u32::MAX,
+            },
+        ]
+    }
+
+    /// A scan chunk: two user entries (one with an empty value) and the
+    /// closing `HIGH` sentinel.
+    fn sample_entries() -> Vec<ChainEntry> {
+        vec![
+            ChainEntry {
+                neighbor: NeighborReply {
+                    key: k("e1"),
+                    entry_version: v(3),
+                    gap_version: v(1),
+                },
+                value: Value::from("E"),
+            },
+            ChainEntry {
+                neighbor: NeighborReply {
+                    key: k(""),
+                    entry_version: v(4),
+                    gap_version: v(2),
+                },
+                value: Value::empty(),
+            },
+            ChainEntry {
+                neighbor: NeighborReply {
+                    key: Key::High,
+                    entry_version: v(0),
+                    gap_version: v(7),
+                },
+                value: Value::empty(),
             },
         ]
     }
@@ -826,6 +899,8 @@ mod tests {
                 },
             ]),
             Response::Chain(vec![]),
+            Response::Entries(sample_entries()),
+            Response::Entries(vec![]),
             Response::Insert(InsertOutcome::Created {
                 split_gap_version: v(2),
             }),
@@ -875,6 +950,7 @@ mod tests {
                     entry_version: v(0),
                     gap_version: v(6),
                 }]),
+                Response::Entries(sample_entries()),
                 Response::Err(RepError::Unavailable),
             ]),
             Response::Summary(vec![]),
@@ -973,6 +1049,34 @@ mod tests {
                 let _ = decode_response(&bytes[..cut]);
             }
         }
+    }
+
+    /// The scan's frame pair is fixed-layout or count-prefixed throughout,
+    /// so unlike a free-form frame every strict prefix must be refused:
+    /// a cut chunk never decodes as a shorter chunk.
+    #[test]
+    fn truncated_successor_entries_frames_are_errors() {
+        let req = Request::SuccessorEntries(TxnId(5), k("from"), 128);
+        let bytes = encode_request(&req);
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_request(&bytes[..cut]).is_err(),
+                "request cut at {cut}"
+            );
+        }
+        let resp = Response::Entries(sample_entries());
+        let bytes = encode_response(&resp);
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_response(&bytes[..cut]).is_err(),
+                "response cut at {cut}"
+            );
+        }
+        // A count claiming more entries than the frame holds is refused, not
+        // padded or pre-allocated.
+        let mut lying = vec![RS_ENTRIES];
+        lying.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_response(&lying).is_err());
     }
 
     #[test]

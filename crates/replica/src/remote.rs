@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use repdir_core::{
-    BatchReply, BatchRequest, CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply,
-    RepClient, RepError, RepId, RepResult, Value, Version,
+    BatchReply, BatchRequest, ChainEntry, CoalesceOutcome, InsertOutcome, Key, LookupReply,
+    NeighborReply, RepClient, RepError, RepId, RepResult, Value, Version,
 };
 use repdir_net::{serve, Network, NodeId, RpcClient, ServerHandle};
 use repdir_txn::TxnId;
@@ -61,6 +61,10 @@ fn dispatch(rep: &TransactionalRep, req: Request) -> Response {
         Request::SuccessorChain(t, k, limit) => {
             wrap(rep.successor_chain(t, &k, limit as usize), Response::Chain)
         }
+        Request::SuccessorEntries(t, k, limit) => wrap(
+            rep.successor_entries(t, &k, limit as usize),
+            Response::Entries,
+        ),
         Request::Insert(t, k, v, val) => wrap(rep.insert(t, &k, v, &val), Response::Insert),
         Request::Coalesce(t, l, h, v) => wrap(rep.coalesce(t, &l, &h, v), Response::Coalesce),
         Request::Commit(t) => wrap(rep.commit(t), |()| Response::Ok),
@@ -225,6 +229,17 @@ impl RepClient for RemoteSessionClient {
         }
     }
 
+    fn successor_entries(&self, key: &Key, limit: usize) -> RepResult<Vec<ChainEntry>> {
+        match self.call(Request::SuccessorEntries(
+            self.txn,
+            key.clone(),
+            limit as u32,
+        ))? {
+            Response::Entries(entries) => Ok(entries),
+            other => Err(unexpected(other)),
+        }
+    }
+
     fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
         match self.call(Request::Insert(
             self.txn,
@@ -260,11 +275,8 @@ impl RepClient for RemoteSessionClient {
             .iter()
             .map(|r| match r {
                 BatchRequest::Lookup(k) => Request::Lookup(self.txn, k.clone()),
-                BatchRequest::PredecessorChain(k, limit) => {
-                    Request::PredecessorChain(self.txn, k.clone(), *limit as u32)
-                }
-                BatchRequest::SuccessorChain(k, limit) => {
-                    Request::SuccessorChain(self.txn, k.clone(), *limit as u32)
+                BatchRequest::SuccessorEntries(k, limit) => {
+                    Request::SuccessorEntries(self.txn, k.clone(), *limit as u32)
                 }
                 BatchRequest::Insert(k, v, val) => {
                     Request::Insert(self.txn, k.clone(), *v, val.clone())
@@ -297,10 +309,9 @@ impl RepClient for RemoteSessionClient {
             .map(|(req, part)| match (req, part) {
                 (BatchRequest::Lookup(_), Response::Lookup(r)) => Ok(BatchReply::Lookup(r)),
                 (BatchRequest::Insert(..), Response::Insert(r)) => Ok(BatchReply::Insert(r)),
-                (
-                    BatchRequest::PredecessorChain(..) | BatchRequest::SuccessorChain(..),
-                    Response::Chain(c),
-                ) => Ok(BatchReply::Chain(c)),
+                (BatchRequest::SuccessorEntries(..), Response::Entries(e)) => {
+                    Ok(BatchReply::Entries(e))
+                }
                 (_, Response::Err(e)) => Err(e),
                 (_, other) => Err(unexpected(other)),
             })
@@ -403,8 +414,8 @@ mod tests {
         let replies = client
             .batch(&[
                 BatchRequest::Lookup(k("a")),
-                BatchRequest::SuccessorChain(k("a"), 2),
-                BatchRequest::PredecessorChain(Key::High, 1),
+                BatchRequest::SuccessorEntries(k("a"), 2),
+                BatchRequest::SuccessorEntries(Key::Low, 8),
             ])
             .unwrap();
         // One request plus one response on the fabric for three probes.
@@ -416,17 +427,40 @@ mod tests {
         );
         assert_eq!(
             replies[1],
-            BatchReply::Chain(client.successor_chain(&k("a"), 2).unwrap())
+            BatchReply::Entries(client.successor_entries(&k("a"), 2).unwrap())
         );
         assert_eq!(
             replies[2],
-            BatchReply::Chain(client.predecessor_chain(&Key::High, 1).unwrap())
+            BatchReply::Entries(client.successor_entries(&Key::Low, 8).unwrap())
         );
         // A failing sub-request fails the envelope with its own error.
         let err = client
-            .batch(&[BatchRequest::SuccessorChain(Key::High, 1)])
+            .batch(&[BatchRequest::SuccessorEntries(Key::High, 1)])
             .unwrap_err();
         assert!(matches!(err, RepError::SentinelViolation { .. }), "{err:?}");
+        client.abort();
+    }
+
+    #[test]
+    fn successor_entries_travel_as_one_frame() {
+        let (net, rep, _handle, rpc) = setup();
+        let client = RemoteSessionClient::new(rpc, NodeId(10), RepId(0), TxnId(1));
+        client.begin().unwrap();
+        for key in ["a", "b", "c"] {
+            client
+                .insert(&k(key), Version::new(1), &Value::from(key))
+                .unwrap();
+        }
+        let before = net.stats().sent;
+        let chunk = client.successor_entries(&Key::Low, 8).unwrap();
+        assert_eq!(net.stats().sent - before, 2, "one request, one response");
+        assert_eq!(
+            chunk,
+            rep.successor_entries(TxnId(1), &Key::Low, 8).unwrap()
+        );
+        let keys: Vec<Key> = chunk.iter().map(|e| e.neighbor.key.clone()).collect();
+        assert_eq!(keys, vec![k("a"), k("b"), k("c"), Key::High]);
+        assert_eq!(chunk[1].value, Value::from("b"));
         client.abort();
     }
 

@@ -8,8 +8,8 @@ use std::time::Duration;
 use repdir_core::suite::StaleVote;
 use repdir_core::sync::Mutex;
 use repdir_core::{
-    CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, RepError, RepId,
-    RepResult, UserKey, Value, Version,
+    ChainEntry, CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, RepError,
+    RepId, RepResult, UserKey, Value, Version,
 };
 use repdir_rangelock::{DeadlockDomain, KeyRange, LockError, LockMode, LockStats, RangeLockTable};
 use repdir_repair::{
@@ -276,6 +276,17 @@ impl TransactionalRep {
     /// rejected.
     pub fn successor(&self, txn: TxnId, key: &Key) -> RepResult<NeighborReply> {
         self.check_up()?;
+        self.successor_locked(txn, key, |_, neighbor| neighbor)
+    }
+
+    /// One `DirRepSuccessor` step under its `RepLookup(x, y)` lock; `read`
+    /// sees the state in the same access as the locked re-read.
+    fn successor_locked<T>(
+        &self,
+        txn: TxnId,
+        key: &Key,
+        read: impl Fn(&DurableState, NeighborReply) -> T,
+    ) -> RepResult<T> {
         loop {
             let peek = self.state.lock().successor(key)?;
             self.acquire(
@@ -283,10 +294,13 @@ impl TransactionalRep {
                 LockMode::Lookup,
                 KeyRange::new(key.clone(), peek.key.clone()),
             )?;
-            let reply = self.state.lock().successor(key)?;
+            let state = self.state.lock();
+            let reply = state.successor(key)?;
             if reply.key == peek.key {
-                return Ok(reply);
+                return Ok(read(&state, reply));
             }
+            // The neighbor moved between peek and lock; the lock now held
+            // freezes the old range, so one more round settles it.
         }
     }
 
@@ -335,6 +349,43 @@ impl TransactionalRep {
             let done = nb.key == Key::High;
             probe = nb.key.clone();
             out.push(nb);
+            if done {
+                break;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Up to `limit` successive `DirRepSuccessor` results, each with its
+    /// entry's value: one chunk of a scan's range read. Every step takes
+    /// the `RepLookup(x, y)` lock [`successor`](TransactionalRep::successor)
+    /// takes, and the value is read under that lock, so each element also
+    /// answers `DirRepLookup(y)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`successor`](TransactionalRep::successor).
+    pub fn successor_entries(
+        &self,
+        txn: TxnId,
+        key: &Key,
+        limit: usize,
+    ) -> RepResult<Vec<ChainEntry>> {
+        self.check_up()?;
+        let mut out = Vec::with_capacity(limit);
+        let mut probe = key.clone();
+        while out.len() < limit {
+            let entry = self.successor_locked(txn, &probe, |state, neighbor| ChainEntry {
+                value: state
+                    .lookup(&neighbor.key)
+                    .value()
+                    .cloned()
+                    .unwrap_or_default(),
+                neighbor,
+            })?;
+            let done = entry.neighbor.key == Key::High;
+            probe = entry.neighbor.key.clone();
+            out.push(entry);
             if done {
                 break;
             }
@@ -897,6 +948,45 @@ mod tests {
         rep.insert(writer, &k("z"), v(1), &val("Z")).unwrap();
         rep.commit(reader).unwrap();
         rep.commit(writer).unwrap();
+    }
+
+    #[test]
+    fn successor_entries_read_values_under_the_successor_locks() {
+        let rep = TransactionalRep::new(RepId(0));
+        let setup = TxnId(1);
+        rep.begin(setup).unwrap();
+        for key in ["b", "f", "m"] {
+            rep.insert(setup, &k(key), v(1), &val(key)).unwrap();
+        }
+        rep.commit(setup).unwrap();
+
+        let reader = TxnId(2);
+        rep.begin(reader).unwrap();
+        let chunk = rep.successor_entries(reader, &Key::Low, 2).unwrap();
+        let got: Vec<(Key, Value)> = chunk
+            .into_iter()
+            .map(|e| (e.neighbor.key, e.value))
+            .collect();
+        assert_eq!(got, vec![(k("b"), val("b")), (k("f"), val("f"))]);
+        // The chunk holds RepLookup(LOW, b) and RepLookup(b, f): a write
+        // inside that span, the read values included, must wait; a write
+        // past the chunk's last key must not.
+        let writer = TxnId(3);
+        rep.begin(writer).unwrap();
+        for inside in ["d", "f"] {
+            assert_eq!(
+                rep.insert(writer, &k(inside), v(2), &val("W")).unwrap_err(),
+                RepError::LockTimeout
+            );
+        }
+        rep.insert(writer, &k("z"), v(1), &val("z")).unwrap();
+        rep.commit(writer).unwrap();
+        // The next chunk continues from the last key and ends at HIGH.
+        let rest = rep.successor_entries(reader, &k("f"), 8).unwrap();
+        let keys: Vec<Key> = rest.iter().map(|e| e.neighbor.key.clone()).collect();
+        assert_eq!(keys, vec![k("m"), k("z"), Key::High]);
+        assert_eq!(rest[2].value, Value::empty());
+        rep.commit(reader).unwrap();
     }
 
     #[test]

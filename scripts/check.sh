@@ -16,8 +16,11 @@
 #    EWMA-driven LatencyPolicy reads from the fast members only and beats
 #    RandomPolicy by >= 2x median on a skewed fabric.
 # 6. Runs the scan_bench in quick mode, which fails unless the session-quorum
-#    + batched-envelope scan beats the per-hop baseline by >= 2x median at
-#    N=64 entries, R=2 with zero re-validations on the failure-free fabric.
+#    + chunked range-read scan beats the per-hop baseline by >= 2x median at
+#    N=64 entries, R=2 with zero re-validations on the failure-free fabric,
+#    AND sends at most 2R * (1 + ceil((N + 1) / SCAN_CHUNK)) fabric messages
+#    per scan (a ping round trip per quorum member plus a round trip per
+#    member per chunk).
 # 7. Runs the ingest_bench in quick mode, which fails unless bulk insert_many
 #    beats the per-key baseline by >= 2x median AND >= 2x fewer fabric
 #    messages for a 64-key ingest at R=2/W=2, zero re-validations.
@@ -105,7 +108,7 @@ gate "latency_policy --quick --check (EWMA policy must avoid slow members, >= 2x
 cargo run --release --offline -p repdir-bench --bin latency_policy -- --quick --check
 gate_done
 
-gate "scan_bench --quick --check (session + batched scan >= 2x per-hop at N=64, R=2)"
+gate "scan_bench --quick --check (session + chunked scan >= 2x per-hop at N=64, R=2; messages <= bound)"
 cargo run --release --offline -p repdir-bench --bin scan_bench -- --quick --check
 gate_done
 

@@ -176,14 +176,26 @@ proptest! {
 }
 
 /// Forwards to a [`RemoteSessionClient`] but, when a shared fuse counts
-/// down to zero across batch envelopes, slows the victim nodes to well past
-/// the RPC timeout — a member partition injected *mid-batch*, after the
-/// session quorums were collected and envelopes acknowledged.
+/// down to zero across data calls (every call but `ping`), slows the victim
+/// nodes to well past the RPC timeout — a member partition injected
+/// *mid-batch*, after the session quorums were collected and calls
+/// acknowledged.
 struct FuseClient {
     inner: RemoteSessionClient,
     fuse: Arc<AtomicI64>,
     net: Arc<Network>,
     victims: Vec<NodeId>,
+}
+
+impl FuseClient {
+    fn tick(&self) {
+        if self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
+            for v in &self.victims {
+                self.net
+                    .set_node_latency(*v, LatencyModel::fixed(Duration::from_secs(2)));
+            }
+        }
+    }
 }
 
 impl RepClient for FuseClient {
@@ -194,12 +206,15 @@ impl RepClient for FuseClient {
         self.inner.ping()
     }
     fn lookup(&self, key: &Key) -> RepResult<repdir::core::LookupReply> {
+        self.tick();
         self.inner.lookup(key)
     }
     fn predecessor(&self, key: &Key) -> RepResult<repdir::core::NeighborReply> {
+        self.tick();
         self.inner.predecessor(key)
     }
     fn successor(&self, key: &Key) -> RepResult<repdir::core::NeighborReply> {
+        self.tick();
         self.inner.successor(key)
     }
     fn predecessor_chain(
@@ -207,6 +222,7 @@ impl RepClient for FuseClient {
         key: &Key,
         limit: usize,
     ) -> RepResult<Vec<repdir::core::NeighborReply>> {
+        self.tick();
         self.inner.predecessor_chain(key, limit)
     }
     fn successor_chain(
@@ -214,7 +230,16 @@ impl RepClient for FuseClient {
         key: &Key,
         limit: usize,
     ) -> RepResult<Vec<repdir::core::NeighborReply>> {
+        self.tick();
         self.inner.successor_chain(key, limit)
+    }
+    fn successor_entries(
+        &self,
+        key: &Key,
+        limit: usize,
+    ) -> RepResult<Vec<repdir::core::ChainEntry>> {
+        self.tick();
+        self.inner.successor_entries(key, limit)
     }
     fn insert(
         &self,
@@ -222,6 +247,7 @@ impl RepClient for FuseClient {
         version: Version,
         value: &Value,
     ) -> RepResult<repdir::core::InsertOutcome> {
+        self.tick();
         self.inner.insert(key, version, value)
     }
     fn coalesce(
@@ -230,15 +256,11 @@ impl RepClient for FuseClient {
         high: &Key,
         version: Version,
     ) -> RepResult<repdir::core::CoalesceOutcome> {
+        self.tick();
         self.inner.coalesce(low, high, version)
     }
     fn batch(&self, reqs: &[BatchRequest]) -> RepResult<Vec<BatchReply>> {
-        if self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
-            for v in &self.victims {
-                self.net
-                    .set_node_latency(*v, LatencyModel::fixed(Duration::from_secs(2)));
-            }
-        }
+        self.tick();
         self.inner.batch(reqs)
     }
 }
@@ -294,10 +316,11 @@ fn mid_ingest_partition_resumes_without_lost_or_double_applied_writes() {
         .collect();
 
     // A 64-key ingest at chunk 16 sends four (discovery, write) envelope
-    // pairs per member. The sixth batch envelope slows node 101 (member 1,
-    // in both session quorums) past the 300ms RPC timeout: the partition
-    // lands inside the second chunk's write wave, after 16 keys were
-    // acknowledged and the next 16 had versions assigned.
+    // pairs per member, and no other data call. The sixth envelope slows
+    // node 101 (member 1, in both session quorums) past the 300ms RPC
+    // timeout: the partition lands inside the second chunk's write wave,
+    // after 16 keys were acknowledged and the next 16 had versions
+    // assigned.
     fx.fuse.store(6, Ordering::SeqCst);
     let out = fx
         .suite
@@ -330,15 +353,29 @@ fn mid_bulk_delete_partition_resumes_cleanly() {
             .unwrap();
     }
 
-    // The batch deletes the first eight keys; node 101 goes dark inside one
-    // of the neighbor-search envelope waves, possibly leaving that key
-    // half-coalesced at the survivors. The resume must re-drive it, not
-    // report it NotFound and not leave a ghost.
-    fx.fuse.store(10, Ordering::SeqCst);
+    // The batch deletes the first eight keys. Deleting the first one costs
+    // fourteen data calls before its coalesce wave (the target lookup, the
+    // successor and predecessor searches, the neighbor probes); the
+    // fifteenth call, the first of that wave, slows node 101 (member 1, in
+    // both session quorums) past the 300ms RPC timeout. Member 1's coalesce
+    // is sent after the fuse trips, so the key is left half-coalesced:
+    // deleted at member 0, still present at member 1. The resume must
+    // re-drive it, not report it NotFound and not leave a ghost.
+    fx.fuse.store(15, Ordering::SeqCst);
     let keys: Vec<Key> = (0..8u64).map(|i| Key::User(UserKey::from_u64(i))).collect();
     fx.suite
         .delete_many(&keys)
         .expect("bulk delete must survive one member partition");
+    let snap = fx.suite.obs().snapshot();
+    assert!(
+        snap.counter("suite.session.revalidate") >= 1,
+        "the partition must land inside the bulk delete"
+    );
+    assert_eq!(
+        snap.counter("suite.bulk.resumed"),
+        1,
+        "a coalesce-wave failure restarts the batch body once"
+    );
 
     for key in &keys {
         assert!(!fx.suite.lookup(key).unwrap().present, "{key:?} survived");
@@ -349,11 +386,6 @@ fn mid_bulk_delete_partition_resumes_cleanly() {
         (8..16u64).map(UserKey::from_u64).collect::<Vec<_>>(),
         "exactly the batch was deleted"
     );
-    // The partition lands inside a neighbor-search envelope, so the
-    // session re-validates at least once; whether the *outer* batch body
-    // restarts (suite.bulk.resumed) depends on whether the nested search's
-    // own retry absorbs the failure first — both recoveries are correct,
-    // and the suite-level fused test pins the outer-resume path.
     let snap = fx.suite.obs().snapshot();
     assert!(snap.counter("suite.session.revalidate") >= 1);
 }

@@ -1,12 +1,15 @@
 //! Session-quorum scan: equivalence and fault-injection coverage.
 //!
 //! The session scan changes *how much* coordination a scan pays — one
-//! quorum collection for the whole walk, one batched envelope per member
-//! per hop — never *what* it returns. The property test pins that: over
-//! randomized insert/delete/scan interleavings, the session scan, the
-//! per-hop baseline (`set_session_reuse(false)`), and a `BTreeMap` model
-//! agree entry-for-entry, while the session side pays exactly one ping
-//! wave per failure-free scan and strictly fewer data RPCs.
+//! quorum collection for the whole walk, one envelope per member per
+//! `SCAN_CHUNK` entries — never *what* it returns. The first property test
+//! pins that: over randomized insert/delete/scan interleavings, the
+//! session scan, the per-hop baseline (`set_session_reuse(false)`), and a
+//! `BTreeMap` model agree entry-for-entry, while the session side pays
+//! exactly one ping wave per failure-free scan and strictly fewer data
+//! RPCs. The chunk-edge property tests check the votes the session scan
+//! reads off its chunks against the per-hop scan's lookups, on histories
+//! that leave ghosts and on directories sized around the chunk edges.
 //!
 //! The fault-injection tests run the networked stack and kill a session
 //! member mid-walk: the scan must re-validate exactly once and complete
@@ -14,10 +17,11 @@
 //! bounded time rather than hang.
 
 use repdir::core::proptest_mini::prelude::*;
-use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
+use repdir::core::rng::SplitMix64;
+use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig, SCAN_CHUNK};
 use repdir::core::{
-    BatchReply, BatchRequest, Key, QuorumKind, RepClient, RepId, RepResult, SuiteError, UserKey,
-    Value, Version,
+    BatchReply, BatchRequest, Key, LocalRep, QuorumKind, RepClient, RepId, RepResult, SuiteError,
+    UserKey, Value, Version,
 };
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
@@ -264,21 +268,33 @@ fn networked_suite(victims: Vec<NodeId>) -> Fixture {
     }
 }
 
+/// Keys in the fault fixtures' directory: enough that a scan streams each
+/// member's entries in four envelopes of [`SCAN_CHUNK`], so the fuse on the
+/// third envelope lands mid-walk.
+const FAULT_KEYS: u64 = 3 * SCAN_CHUNK as u64 + 8;
+
+fn fill(fx: &mut Fixture) {
+    let entries: Vec<(Key, Value)> = (0..FAULT_KEYS)
+        .map(|i| (Key::User(UserKey::from_u64(i)), Value::from("v")))
+        .collect();
+    fx.suite
+        .insert_many(&entries)
+        .expect("fill on a healthy fabric");
+}
+
 #[test]
 fn mid_scan_partitioned_member_revalidates_once_and_completes() {
     let mut fx = networked_suite(vec![NodeId(101)]);
-    let keys: Vec<Key> = (0..8u64).map(|i| Key::User(UserKey::from_u64(i))).collect();
-    for key in &keys {
-        fx.suite.insert(key, &Value::from("v")).unwrap();
-    }
+    fill(&mut fx);
 
-    // The third batch envelope of the scan slows node 101 (member 1, in the
-    // session quorum {0, 1}) past the 300ms RPC timeout: a mid-walk loss.
+    // The third batch envelope of the scan (the second chunk's, member 0's
+    // or member 1's) slows node 101 (member 1, in the session quorum
+    // {0, 1}) past the 300ms RPC timeout: a mid-walk loss.
     fx.fuse.store(3, Ordering::SeqCst);
     let listed = fx.suite.scan().expect("scan must survive one member loss");
     assert_eq!(
         listed.iter().map(|(u, _)| u.clone()).collect::<Vec<_>>(),
-        (0..8u64).map(UserKey::from_u64).collect::<Vec<_>>(),
+        (0..FAULT_KEYS).map(UserKey::from_u64).collect::<Vec<_>>(),
         "scan completes correctly through the failure"
     );
 
@@ -295,11 +311,7 @@ fn mid_scan_partitioned_member_revalidates_once_and_completes() {
 #[test]
 fn dead_majority_mid_scan_fails_fast_with_quorum_unavailable() {
     let mut fx = networked_suite(vec![NodeId(101), NodeId(102)]);
-    for i in 0..8u64 {
-        fx.suite
-            .insert(&Key::User(UserKey::from_u64(i)), &Value::from("v"))
-            .unwrap();
-    }
+    fill(&mut fx);
 
     // Nodes 101 and 102 both go dark mid-scan: member 0 alone holds one of
     // the two votes a read quorum needs, so re-validation must fail with
@@ -321,4 +333,158 @@ fn dead_majority_mid_scan_fails_fast_with_quorum_unavailable() {
         started.elapsed() < Duration::from_secs(30),
         "failure must surface within the RPC-timeout budget"
     );
+}
+
+/// Live directory sizes on either side of the scan's chunk edges.
+const EDGE_SIZES: [usize; 4] = [
+    SCAN_CHUNK - 1,
+    SCAN_CHUNK,
+    SCAN_CHUNK + 1,
+    2 * SCAN_CHUNK + 1,
+];
+
+/// A history that ends with exactly `size` live keys and leaves ghosts.
+/// Every key of a `size + doomed` universe is inserted through one write
+/// quorum; `doomed + reborn` of them are deleted through the quorum
+/// shifted one member along, so the first inserter keeps each as a ghost;
+/// `reborn` of the deleted keys are inserted again through the quorum
+/// shifted once more, at a version above the gap that deleted them.
+#[derive(Clone, Debug)]
+struct EdgeHistory {
+    size: usize,
+    doomed: usize,
+    reborn: usize,
+    seed: u64,
+}
+
+fn edge_history() -> impl Strategy<Value = EdgeHistory> {
+    (0usize..4, 0usize..12, 0usize..6, any::<u64>()).prop_map(|(i, doomed, reborn, seed)| {
+        EdgeHistory {
+            size: EDGE_SIZES[i],
+            doomed,
+            reborn,
+            seed,
+        }
+    })
+}
+
+/// The fixed quorum order starting at member `first` of a 3-member suite.
+fn rotation(first: usize) -> Box<FixedPolicy> {
+    Box::new(FixedPolicy::with_order(
+        (0..3).map(|i| (first + i) % 3).collect(),
+    ))
+}
+
+/// Replays `h` on a fresh 3-2-2 suite, then checks under every read quorum
+/// that the chunked session scan, the per-hop scan and a `BTreeMap` model
+/// list the same entries. `member_lens` reports how many entries (ghosts
+/// included) each member holds.
+fn check_edge_history<C: RepClient + 'static>(
+    suite: &mut DirSuite<C>,
+    h: &EdgeHistory,
+    member_lens: impl Fn() -> Vec<usize>,
+) {
+    let mut rng = SplitMix64::new(h.seed);
+    let universe = (h.size + h.doomed) as u64;
+    let mut keys: Vec<u64> = (0..universe).collect();
+    rng.shuffle(&mut keys);
+    let first = rng.next_below(3) as usize;
+    let value = |k: u64, incarnation: u8| Value::from(format!("{k}/{incarnation}").as_str());
+
+    let mut model: BTreeMap<u64, Value> = BTreeMap::new();
+    suite.set_policy(rotation(first));
+    let entries: Vec<(Key, Value)> = keys
+        .iter()
+        .map(|&k| {
+            model.insert(k, value(k, 0));
+            (Key::User(UserKey::from_u64(k)), value(k, 0))
+        })
+        .collect();
+    suite.insert_many(&entries).expect("fill");
+
+    let deleted = &keys[..h.doomed + h.reborn];
+    suite.set_policy(rotation(first + 1));
+    for &k in deleted {
+        suite
+            .delete(&Key::User(UserKey::from_u64(k)))
+            .expect("delete");
+        model.remove(&k);
+    }
+    suite.set_policy(rotation(first + 2));
+    for &k in &deleted[..h.reborn] {
+        suite
+            .insert(&Key::User(UserKey::from_u64(k)), &value(k, 1))
+            .expect("re-insert");
+        model.insert(k, value(k, 1));
+    }
+    assert_eq!(model.len(), h.size, "the history ends at its target size");
+    if h.doomed > 0 {
+        assert!(
+            member_lens().iter().any(|&n| n > h.size),
+            "the deletes must leave a ghost behind"
+        );
+    }
+
+    let expect: Vec<(UserKey, Value)> = model
+        .into_iter()
+        .map(|(k, v)| (UserKey::from_u64(k), v))
+        .collect();
+    for read_first in 0..3 {
+        suite.set_policy(rotation(read_first));
+        suite.set_session_reuse(true);
+        let chunked = suite.scan().expect("chunked scan");
+        suite.set_session_reuse(false);
+        let per_hop = suite.scan().expect("per-hop scan");
+        assert_eq!(
+            chunked, per_hop,
+            "chunked vs per-hop, read order {read_first}"
+        );
+        assert_eq!(chunked, expect, "chunked vs model, read order {read_first}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Votes built from chunked chains equal `DirRepLookup` votes on
+    /// in-process members, across chunk edges and ghosts.
+    #[test]
+    fn chunked_scan_matches_per_hop_at_chunk_edges_in_process(h in edge_history()) {
+        let config = SuiteConfig::symmetric(3, 2, 2).expect("legal config");
+        let mut suite = DirSuite::in_process(config, h.seed).expect("suite");
+        let reps: Vec<LocalRep> = (0..3).map(|i| suite.member(i).clone()).collect();
+        check_edge_history(&mut suite, &h, || reps.iter().map(LocalRep::len).collect());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same equivalence through the codec and RPC: members are
+    /// transactional representatives served on a zero-delay fabric, and the
+    /// chunks travel as `SuccessorEntries` frames.
+    #[test]
+    fn chunked_scan_matches_per_hop_at_chunk_edges_over_the_fabric(h in edge_history()) {
+        let net = Arc::new(Network::new(h.seed));
+        let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
+        let mut handles = Vec::new();
+        let mut reps = Vec::new();
+        let mut clients = Vec::new();
+        for i in 0..3u32 {
+            let rep = TransactionalRep::new(RepId(i));
+            handles.push(serve_rep(Arc::clone(&net), NodeId(100 + i), Arc::clone(&rep)));
+            reps.push(rep);
+            let client =
+                RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
+            client.begin().expect("begin on a healthy fabric");
+            clients.push(client);
+        }
+        let config = SuiteConfig::symmetric(3, 2, 2).expect("legal config");
+        let mut suite =
+            DirSuite::new(clients, config, Box::new(FixedPolicy::new())).expect("suite");
+        check_edge_history(&mut suite, &h, || reps.iter().map(|r| r.len()).collect());
+        for handle in &handles {
+            handle.stop();
+        }
+    }
 }
